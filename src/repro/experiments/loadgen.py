@@ -28,11 +28,12 @@ micro-batched results bit-identical (``max_abs_diff == 0.0``).
 
 from __future__ import annotations
 
+import http.client
 import itertools
 import json
 import threading
 import time
-import urllib.request
+import urllib.parse
 
 import numpy as np
 
@@ -56,22 +57,59 @@ class _InProcessTarget:
 
 
 class _HTTPTarget:
-    """Scores through a daemon's HTTP front (JSON wire format)."""
+    """Scores through a daemon's HTTP front (JSON wire format).
+
+    Every client thread keeps one persistent HTTP/1.1 keep-alive
+    connection (``http.client`` sets ``TCP_NODELAY`` on connect).  A
+    request that fails in flight is never resent -- it may already have
+    been admitted and consumed a ``seq`` -- so it counts as an error, the
+    connection is dropped, and that thread's next request reconnects.
+    """
 
     def __init__(self, url: str, *, timeout: float) -> None:
-        self.url = url.rstrip("/")
+        parts = urllib.parse.urlsplit(url)
+        self._connection_class = (http.client.HTTPSConnection
+                                  if parts.scheme == "https"
+                                  else http.client.HTTPConnection)
+        self.netloc = parts.netloc
+        self.prefix = parts.path.rstrip("/")
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: list[http.client.HTTPConnection] = []
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._connection_class(self.netloc, timeout=self.timeout)
+            self._local.conn = conn
+            with self._lock:
+                self._connections.append(conn)
+        return conn
 
     def score(self, tenant: str, X: np.ndarray):
         body = json.dumps({"x": X.tolist()}).encode("utf-8")
-        request = urllib.request.Request(
-            f"{self.url}/v1/score/{tenant}",
-            data=body,
-            headers={"Content-Type": "application/json"},
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-            payload = json.loads(resp.read())
+        conn = self._connection()
+        try:
+            conn.request("POST", f"{self.prefix}/v1/score/{tenant}", body,
+                         {"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            data = resp.read()
+        except Exception:
+            conn.close()
+            self._local.conn = None
+            raise
+        if resp.status != 200:
+            raise RuntimeError(f"HTTP {resp.status} {resp.reason}: "
+                               f"{data[:200].decode('utf-8', 'replace')}")
+        payload = json.loads(data)
         return payload["seq"], np.asarray(payload["proba"], dtype=np.float64)
+
+    def close(self) -> None:
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
+            self._connections.clear()
 
 
 def build_requests(
@@ -233,6 +271,8 @@ def run_loadgen(
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - start
+    if isinstance(target, _HTTPTarget):
+        target.close()
 
     ok = latency.count
     rows_ok = sum(stats["rows"] for stats in per_tenant.values())

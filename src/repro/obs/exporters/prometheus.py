@@ -26,7 +26,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.obs.metrics import Counter, Gauge, Histogram, get_metrics
 from repro.utils.errors import ValidationError
 
-__all__ = ["PrometheusExporter", "render_prometheus", "sanitize_metric_name"]
+__all__ = [
+    "PrometheusExporter",
+    "SingleSendHandler",
+    "render_prometheus",
+    "sanitize_metric_name",
+]
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -102,25 +107,50 @@ def render_prometheus(registry=None) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class SingleSendHandler(BaseHTTPRequestHandler):
+    """Request handler whose responses each leave in one ``sendall``.
+
+    Status line, headers and body are joined before the write, and
+    ``TCP_NODELAY`` is set on the accepted socket.  A header write followed
+    by a small body write would otherwise sit behind Nagle until the
+    client's delayed ACK (~40 ms) on a keep-alive connection.  Shared by
+    this exporter and the serving daemon's HTTP front.
+    """
+
+    disable_nagle_algorithm = True
+    #: set when the connection must close after the reply (sends the header)
+    _closing = False
+
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        """Write status line, headers, blank line and body in one send."""
+        self.log_request(status)
+        reason = self.responses[status][0]
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n" if self._closing else "") + "\r\n"
+        )
+        self.wfile.write(head.encode("latin-1") + body)
+
+
+class _Handler(SingleSendHandler):
     """Serves /metrics (and /) from the exporter's registry source."""
 
     server_version = "repro-obs/1"
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path.split("?", 1)[0] not in ("/", "/metrics"):
-            self.send_error(404, "only /metrics is served")
+            self._send(404, "text/plain", b"only /metrics is served\n")
             return
         try:
             body = render_prometheus(self.server.registry_source()).encode()
         except Exception as exc:  # registry raced or misbehaved: report, not die
-            self.send_error(500, f"render failed: {exc}")
+            self._send(500, "text/plain", f"render failed: {exc}\n".encode())
             return
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, CONTENT_TYPE, body)
 
     def log_message(self, *args) -> None:  # keep scrapes off stderr
         return None

@@ -191,10 +191,13 @@ class PendingRequest:
 
     ``seq`` is the tenant-local admission number — per-tenant scoring
     order always equals ``seq`` order, whatever the coalescing pattern.
+    ``classes`` holds the label classes of the plan that produced
+    ``proba`` (None for a model without ``classes_``), so a hot reload
+    between scoring and labelling cannot mix two plans in one answer.
     """
 
-    __slots__ = ("tenant", "X", "seq", "enqueued", "proba", "error",
-                 "_event")
+    __slots__ = ("tenant", "X", "seq", "enqueued", "proba", "classes",
+                 "error", "_event")
 
     def __init__(self, tenant: str, X: np.ndarray, seq: int) -> None:
         self.tenant = tenant
@@ -202,6 +205,7 @@ class PendingRequest:
         self.seq = seq
         self.enqueued = time.perf_counter()
         self.proba: np.ndarray | None = None
+        self.classes: np.ndarray | None = None
         self.error: Exception | None = None
         self._event = threading.Event()
 
@@ -400,8 +404,10 @@ class MicroBatcher:
                     registry.histogram("daemon.request_seconds").observe(
                         now - pending.enqueued
                     )
+            classes = getattr(entry.plan.model, "classes_", None)
             for pending, proba in zip(batch, probas):
                 pending.proba = proba
+                pending.classes = classes
                 pending._event.set()
 
     def _shadow_score(self, shadow, batch, probas, entry) -> None:

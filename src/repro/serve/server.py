@@ -37,17 +37,23 @@ Wire format (JSON over HTTP/1.1, documented in DESIGN.md):
 The server is a daemon-threaded ``ThreadingHTTPServer``: request handler
 threads block on the micro-batcher's :class:`PendingRequest` events while
 the single scorer thread does the numpy work, so concurrent clients
-coalesce naturally.
+coalesce naturally.  Every response leaves in one send on a ``TCP_NODELAY``
+socket, and every POST body is consumed or its connection closed.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 
 import numpy as np
 
+from repro.obs.exporters.prometheus import (
+    CONTENT_TYPE,
+    SingleSendHandler,
+    render_prometheus,
+)
 from repro.obs.logging import get_logger
 from repro.utils.errors import ArtifactError, ValidationError
 
@@ -59,7 +65,7 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 logger = get_logger("repro.serve.server")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(SingleSendHandler):
     """Routes requests to the owning daemon's batcher/cache."""
 
     server_version = "repro-serve/1"
@@ -70,15 +76,24 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.serve_daemon
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(status, "application/json", json.dumps(payload).encode())
 
-    def _send_error_json(self, status: int, message: str) -> None:
+    def _send_error(self, status: int, exc: Exception) -> None:
+        """JSON error reply; an unexpected failure (500) is logged."""
+        message = str(exc)
+        if status == 500:
+            logger.error("%s %s failed: %s", self.command, self.path, exc)
+            message = f"{type(exc).__name__}: {exc}"
         self._send_json(status, {"error": message})
+
+    def _read_body(self) -> bytes | None:
+        """Read the body on every route; None if Content-Length is unusable."""
+        declared = self.headers.get("Content-Length", "")
+        length = int(declared) if declared.isdecimal() else -1
+        if 0 <= length <= MAX_BODY_BYTES:
+            return self.rfile.read(length)
+        self._closing = self.close_connection = True
+        return None
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
@@ -86,76 +101,58 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(200, {"status": "ok"})
         elif path == "/v1/tenants":
             cache = self.daemon.cache
-            stats = cache.stats()
             self._send_json(200, {
                 "root": str(cache.root),
                 "known": cache.known_tenants(),
-                "loaded": stats["loaded"],
+                "loaded": cache.stats()["loaded"],
             })
         elif path == "/v1/stats":
             self._send_json(200, self.daemon.stats())
         elif path in ("/metrics", "/"):
-            from repro.obs.exporters.prometheus import (
-                CONTENT_TYPE,
-                render_prometheus,
-            )
-
-            body = render_prometheus().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", CONTENT_TYPE)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(200, CONTENT_TYPE, render_prometheus().encode("utf-8"))
         else:
-            self._send_error_json(404, f"no route for GET {path}")
+            self._send_json(404, {"error": f"no route for GET {path}"})
 
     def _do_admin(self, action: str, tenant: str) -> None:
         """Lifecycle admin: promote / rollback via the daemon's lineage."""
         try:
-            if action == "rollback":
-                version = self.daemon.rollback(tenant)
-            else:
-                version = self.daemon.promote(tenant)
+            version = getattr(self.daemon, action)(tenant)
         except (ArtifactError, ValidationError) as exc:
             message = str(exc)
-            status = 409 if ("no previous" in message
-                             or "no candidate" in message) else 400
-            self._send_error_json(status, message)
-            return
+            conflict = "no previous" in message or "no candidate" in message
+            self._send_error(409 if conflict else 400, exc)
         except Exception as exc:  # noqa: BLE001 — handler must answer
-            logger.error("admin %s failed: %s", action, exc)
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-            return
-        self._send_json(200, {
-            "tenant": tenant,
-            "action": action,
-            "active": version.content_hash,
-            "generation": version.generation,
-            "file": version.file,
-        })
+            self._send_error(500, exc)
+        else:
+            self._send_json(200, {
+                "tenant": tenant,
+                "action": action,
+                "active": version.content_hash,
+                "generation": version.generation,
+                "file": version.file,
+            })
 
     def do_POST(self) -> None:  # noqa: N802 (http.server API)
         path = self.path.split("?", 1)[0]
+        body = self._read_body()  # before routing: keep-alive stays framed
         for action in ("rollback", "promote"):
             prefix = f"/v1/admin/{action}/"
             if path.startswith(prefix):
                 self._do_admin(action, path[len(prefix):])
                 return
         if not path.startswith("/v1/score/"):
-            self._send_error_json(404, f"no route for POST {path}")
+            self._send_json(404, {"error": f"no route for POST {path}"})
             return
         tenant = path[len("/v1/score/"):]
         try:
-            length = int(self.headers.get("Content-Length", 0))
-            if length <= 0:
-                raise ValidationError("empty request body")
-            if length > MAX_BODY_BYTES:
+            if body is None:
                 raise ValidationError(
-                    f"request body of {length} bytes exceeds the "
-                    f"{MAX_BODY_BYTES}-byte limit"
-                )
+                    f"request needs a Content-Length of 0 to {MAX_BODY_BYTES}"
+                    f" bytes, got {self.headers.get('Content-Length')!r}")
+            if not body:
+                raise ValidationError("empty request body")
             try:
-                payload = json.loads(self.rfile.read(length))
+                payload = json.loads(body)
             except (ValueError, UnicodeDecodeError) as exc:
                 raise ValidationError(f"request body is not JSON: {exc}")
             if not isinstance(payload, dict) or "x" not in payload:
@@ -167,32 +164,26 @@ class _Handler(BaseHTTPRequestHandler):
             pending = self.daemon.submit(tenant, X)
             proba = pending.result(timeout=self.daemon.config.request_timeout)
         except ArtifactError as exc:
-            message = str(exc)
-            status = 404 if "no artifact file" in message else 400
-            self._send_error_json(status, message)
-            return
+            missing = "no artifact file" in str(exc)
+            self._send_error(404 if missing else 400, exc)
         except ValidationError as exc:
-            status = 503 if "stopped" in str(exc) else 400
-            self._send_error_json(status, str(exc))
-            return
+            self._send_error(503 if "stopped" in str(exc) else 400, exc)
         except TimeoutError as exc:
-            self._send_error_json(504, str(exc))
-            return
+            self._send_error(504, exc)
         except Exception as exc:  # noqa: BLE001 — handler must answer
-            logger.error("score request failed: %s", exc)
-            self._send_error_json(500, f"{type(exc).__name__}: {exc}")
-            return
-        codes = np.argmax(proba, axis=1)
-        plan = self.daemon.cache.get(tenant).plan
-        classes = getattr(plan.model, "classes_", None)
-        labels = classes[codes] if classes is not None else codes
-        self._send_json(200, {
-            "tenant": tenant,
-            "seq": pending.seq,
-            "rows": int(proba.shape[0]),
-            "proba": proba.tolist(),
-            "labels": np.asarray(labels).tolist(),
-        })
+            self._send_error(500, exc)
+        else:
+            # labels come from the classes of the plan that scored the rows
+            codes = np.argmax(proba, axis=1)
+            classes = pending.classes
+            labels = classes[codes] if classes is not None else codes
+            self._send_json(200, {
+                "tenant": tenant,
+                "seq": pending.seq,
+                "rows": int(proba.shape[0]),
+                "proba": proba.tolist(),
+                "labels": np.asarray(labels).tolist(),
+            })
 
     def log_message(self, fmt: str, *args) -> None:  # keep requests off stderr
         logger.debug("http %s", fmt % args)

@@ -1,9 +1,12 @@
 """Load generator: deterministic traffic, both loops, capture replay."""
 
+import socket
+
 import numpy as np
 import pytest
 
 from repro.experiments.loadgen import (
+    _HTTPTarget,
     _poisson_schedule,
     build_requests,
     replay_capture,
@@ -94,6 +97,39 @@ class TestRunLoadgen:
             diff = replay_capture(root, result["capture"],
                                   micro_batch_rows=CAP)
         assert diff == 0.0
+
+    def test_closed_loop_over_http_keep_alive(self, tenant_root):
+        root, names, X_test = tenant_root
+        with _daemon(root, port=0) as daemon:
+            result = run_loadgen(
+                daemon.url, X_test, names, mode="closed", duration=0.5,
+                clients=2, seed=3, capture=True,
+            )
+        assert result["errors"] == 0
+        assert result["requests"] > 0
+        assert replay_capture(root, result["capture"],
+                              micro_batch_rows=CAP) == 0.0
+
+    def test_http_target_reuses_one_connection_per_thread(self, tenant_root):
+        root, names, X_test = tenant_root
+        with _daemon(root, port=0) as daemon:
+            target = _HTTPTarget(daemon.url + "/", timeout=10.0)
+            assert target.score(names[0], X_test[:2])[0] == 0
+            sock = target._local.conn.sock
+            assert target.score(names[0], X_test[:2])[0] == 1
+            assert target._local.conn.sock is sock
+            with pytest.raises(RuntimeError, match="HTTP 404"):
+                target.score("ghost-tenant", X_test[:2])
+            assert target._local.conn.sock is sock  # framed error: kept
+            # a transport failure raises (it is never resent) and drops the
+            # connection; the thread's next request reconnects
+            sock.shutdown(socket.SHUT_RDWR)
+            with pytest.raises(OSError):
+                target.score(names[0], X_test[:2])
+            assert target._local.conn is None
+            assert target.score(names[0], X_test[:2])[0] == 2
+            assert target._local.conn.sock is not sock
+            target.close()
 
     def test_errors_are_counted_not_raised(self, tenant_root):
         root, _, X_test = tenant_root

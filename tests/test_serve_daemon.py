@@ -1,13 +1,20 @@
 """ServeDaemon lifecycle and the HTTP wire format."""
 
+import http.client
 import json
+import os
+import shutil
+import statistics
+import time
 import urllib.error
 import urllib.request
 
 import numpy as np
 import pytest
 
+from repro.core.artifacts import load_artifact, save_artifact
 from repro.serve import DaemonConfig, PlanCache, ServeDaemon
+from repro.serve import server as server_mod
 from repro.serve.daemon import format_daemon_summary
 from repro.utils.errors import ValidationError
 
@@ -149,3 +156,172 @@ class TestHTTP:
         executor = cache.get(names[1]).executor
         expected = executor.score([executor.check_request(X_test[:6])])[0]
         np.testing.assert_array_equal(via_http, expected)
+
+
+def _connect(daemon):
+    """A keep-alive client connection (``http.client`` sets TCP_NODELAY)."""
+    conn = http.client.HTTPConnection("127.0.0.1", daemon.http.port,
+                                      timeout=10)
+    conn.connect()
+    return conn
+
+
+def _raw_post(conn, path, body=b"", headers=()):
+    """POST with exactly the given headers (no implicit Content-Length)."""
+    conn.putrequest("POST", path)
+    for name, value in headers:
+        conn.putheader(name, value)
+    conn.endheaders(body or None)
+    resp = conn.getresponse()
+    return resp, resp.read()
+
+
+class TestKeepAliveFraming:
+    """A POST answered early must not leave bytes that desync the next
+    request on the same HTTP/1.1 connection."""
+
+    @pytest.mark.parametrize("path, status", [
+        ("/nope", 404),
+        ("/v1/admin/promote/tenant-00", 409),
+        ("/v1/admin/rollback/tenant-00", 409),
+    ])
+    def test_unread_body_is_drained(self, tenant_root, path, status):
+        root, _, _ = tenant_root
+        body = json.dumps({"x": [[1.0, 2.0, 3.0]]}).encode()
+        with ServeDaemon(_config(root)) as daemon:
+            conn = _connect(daemon)
+            sock = conn.sock
+            resp, _ = _raw_post(conn, path, body, [
+                ("Content-Length", str(len(body)))])
+            assert resp.status == status
+            assert resp.getheader("Connection") is None
+            conn.request("GET", "/healthz")
+            health = conn.getresponse()
+            assert health.status == 200
+            assert json.loads(health.read()) == {"status": "ok"}
+            assert conn.sock is sock  # same connection, still in step
+            conn.close()
+
+    @pytest.mark.parametrize("headers", [
+        [("Content-Length", str(server_mod.MAX_BODY_BYTES + 1))],
+        [("Content-Length", "twelve")],
+        [],
+    ], ids=["oversized", "non-numeric", "missing"])
+    def test_unframed_body_closes_connection(self, tenant_root, headers):
+        root, names, _ = tenant_root
+        with ServeDaemon(_config(root)) as daemon:
+            conn = _connect(daemon)
+            resp, raw = _raw_post(conn, f"/v1/score/{names[0]}",
+                                  headers=headers)
+            assert resp.status == 400
+            assert resp.getheader("Connection") == "close"
+            assert "Content-Length" in json.loads(raw)["error"]
+            conn.request("GET", "/healthz")  # reconnects transparently
+            assert conn.getresponse().status == 200
+            conn.close()
+
+
+class _CountingWriter:
+    """Socket-writer proxy recording every write a handler makes."""
+
+    def __init__(self, raw, log):
+        self._raw = raw
+        self._log = log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class _CountingHandler(server_mod._Handler):
+    writes: list = []
+
+    def setup(self):
+        super().setup()
+        self.wfile = _CountingWriter(self.wfile, type(self).writes)
+
+
+class TestSingleSend:
+    def test_one_write_per_response(self, tenant_root, monkeypatch):
+        root, names, X_test = tenant_root
+        monkeypatch.setattr(server_mod, "_Handler", _CountingHandler)
+        monkeypatch.setattr(_CountingHandler, "writes", [])
+        json_headers = {"Content-Type": "application/json"}
+        calls = [
+            ("POST", f"/v1/score/{names[0]}",
+             json.dumps({"x": X_test[:3].tolist()}), 200),
+            ("POST", f"/v1/score/{names[0]}",
+             json.dumps({"x": [[1.0, 2.0]]}), 400),
+            ("POST", "/nope", "{}", 404),
+            ("GET", "/healthz", None, 200),
+            ("GET", "/metrics", None, 200),
+        ]
+        with ServeDaemon(_config(root)) as daemon:
+            conn = _connect(daemon)
+            for method, path, body, status in calls:
+                before = len(_CountingHandler.writes)
+                conn.request(method, path, body, json_headers)
+                resp = conn.getresponse()
+                raw = resp.read()
+                assert resp.status == status, path
+                assert len(_CountingHandler.writes) == before + 1, path
+                # the single write carried the whole response
+                assert _CountingHandler.writes[-1] > len(raw) > 0
+            conn.close()
+
+    def test_keep_alive_requests_do_not_stall(self, tenant_root):
+        # a header/body split write waits ~40 ms for the client's delayed
+        # ACK; a healthy small request takes a few milliseconds
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:4].tolist()})
+        headers = {"Content-Type": "application/json"}
+        with ServeDaemon(_config(root)) as daemon:
+            conn = _connect(daemon)
+            timings = []
+            for i in range(31):
+                t0 = time.perf_counter()
+                conn.request("POST", f"/v1/score/{names[0]}", body, headers)
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200
+                if i:  # the first request loads the plan
+                    timings.append(time.perf_counter() - t0)
+            conn.close()
+        assert statistics.median(timings) < 0.020, timings
+
+
+class TestLabels:
+    def test_labels_come_from_the_plan_that_scored(self, tenant_root,
+                                                   tmp_path, monkeypatch):
+        src, names, X_test = tenant_root
+        root = tmp_path / "tenants"
+        shutil.copytree(src, root)
+        tenant = names[0]
+        bundle = root / f"{tenant}.npz"
+        pipe = load_artifact(bundle).estimator
+        old_classes = np.asarray(pipe.model_.classes_).copy()
+        pipe.model_.classes_ = old_classes + 100
+        relabelled = save_artifact(pipe, tmp_path / "relabelled.npz")
+        with ServeDaemon(_config(root)) as daemon:
+            submit = daemon.submit
+
+            def submit_then_replace(name, X):
+                pending = submit(name, X)
+                pending.result(10)  # scored by the original plan
+                if relabelled.exists():
+                    stat = bundle.stat()
+                    os.replace(relabelled, bundle)
+                    os.utime(bundle, ns=(stat.st_atime_ns,
+                                         stat.st_mtime_ns + 10**9))
+                return pending
+
+            monkeypatch.setattr(daemon, "submit", submit_then_replace)
+            url = f"{daemon.url}/v1/score/{tenant}"
+            first = _post(url, {"x": X_test[:8].tolist()})
+            second = _post(url, {"x": X_test[:8].tolist()})
+        assert set(first["labels"]) <= set(old_classes.tolist())
+        # the replacement did land: the next request sees its classes
+        assert set(second["labels"]) <= set((old_classes + 100).tolist())
