@@ -343,13 +343,9 @@ class AdaptationController:
                 self._finish_shadow(verdict, daemon_handled=True)
             return
         inc, cand = self._incumbent_plan, self._candidate_plan
-        inc_merged = np.array(inc.transform(X), copy=True)
-        cand_merged = np.array(cand.transform(X), copy=True)
         verdict = self._shadow_eval.observe(
-            inc.model.predict_proba(inc_merged),
-            cand.model.predict_proba(cand_merged),
-            inc_merged[:, inc._var_idx],
-            cand_merged[:, cand._var_idx],
+            inc.execute([X])[0], cand.execute([X])[0],
+            inc.last_variant(), cand.last_variant(),
         )
         if verdict is not None:
             self._finish_shadow(verdict, daemon_handled=False)

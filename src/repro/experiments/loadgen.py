@@ -320,7 +320,7 @@ def replay_capture(root, capture, *, micro_batch_rows: int,
     Loads every tenant fresh from ``root`` (restoring the artifact's
     saved RNG state, exactly like the daemon's first load) and replays
     each tenant's captured requests one at a time in ``seq`` order.  The
-    executor capacity must match the live run's ``micro_batch_rows`` —
+    padded capacity must match the live run's ``micro_batch_rows`` —
     padded execution is bit-stable only at a fixed capacity.  A return of
     exactly ``0.0`` proves the micro-batched daemon results equal
     per-request scoring bit for bit.
@@ -344,9 +344,9 @@ def replay_capture(root, capture, *, micro_batch_rows: int,
                 f"prefix (got {seqs[:5]}...); replay needs every request "
                 f"from a fresh daemon"
             )
-        executor = cache.get(tenant).executor
+        plan = cache.get(tenant).plan
         for _seq, rows, proba in items:
-            ref = executor.score([executor.check_request(rows)])[0]
+            ref = plan.execute([rows], capacity=micro_batch_rows)[0]
             if proba.shape != ref.shape:
                 raise ValidationError(
                     f"capture shape mismatch for tenant {tenant!r}: "

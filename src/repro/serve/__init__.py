@@ -1,6 +1,6 @@
 """Serving layer: compiled inference plans, batch runtime, and the daemon."""
 
-from repro.serve.batcher import MicroBatcher, PaddedExecutor, PendingRequest
+from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.daemon import DaemonConfig, ServeDaemon, run_daemon
 from repro.serve.plan import InferencePlan, clone_rng
 from repro.serve.registry import PlanCache, TenantEntry
@@ -18,7 +18,6 @@ __all__ = [
     "DaemonHTTPServer",
     "InferencePlan",
     "MicroBatcher",
-    "PaddedExecutor",
     "PendingRequest",
     "PlanCache",
     "ServeDaemon",

@@ -1,31 +1,31 @@
 """Micro-batching: coalesce same-tenant requests into one padded execution.
 
-Two pieces back the daemon's scoring plane:
+:class:`MicroBatcher` is a thread-safe admission queue plus a single scorer
+thread.  Requests enqueue per tenant in FIFO order; the scorer coalesces
+the head of one tenant's queue into a micro-batch of at most
+``micro_batch_rows`` rows, optionally lingering ``max_wait`` seconds when
+it is otherwise idle, and scores it with
+``plan.execute(segments, capacity=micro_batch_rows)`` on the tenant's
+cached :class:`~repro.serve.plan.InferencePlan`.
 
-:class:`PaddedExecutor`
-    A fixed-capacity scorer wrapped around a compiled
-    :class:`~repro.serve.plan.InferencePlan`.  Every execution — a single
-    request or a coalesced micro-batch — runs the plan's stages at exactly
-    ``capacity`` rows (zero-padded, results sliced back per request), and
-    noise is drawn with one RNG call per request in admission order.  Both
-    choices exist for one reason: **bit-identity across coalescing
-    patterns**.  BLAS GEMM row results are *not* stable across batch sizes
-    (an M=1 call can differ from the same row inside an M=64 call in the
-    last ULP), but zero-padding to a fixed M is exact — a padded row can
-    never perturb another row through elementwise ops, row-broadcast
-    BatchNorm inference statistics, or row-wise matmuls.  Scoring requests
-    ``[A, B]`` coalesced is therefore bit-identical to scoring ``[A]``
-    then ``[B]``, whatever the sizes.
+Two choices exist for one reason: **bit-identity across coalescing
+patterns**.  Every execution — a single request or a coalesced
+micro-batch — runs the plan's stages at exactly ``micro_batch_rows`` rows
+(zero-padded, results sliced back per request), and noise is drawn with
+one RNG call per request in admission order.  BLAS GEMM row results are
+*not* stable across batch sizes (an M=1 call can differ from the same row
+inside an M=64 call in the last ULP), but zero-padding to a fixed M is
+exact — a padded row can never perturb another row through elementwise
+ops, row-broadcast BatchNorm inference statistics, or row-wise matmuls.
+Scoring requests ``[A, B]`` coalesced is therefore bit-identical to
+scoring ``[A]`` then ``[B]``, whatever the sizes.  A single scorer keeps
+each tenant's RNG consumption deterministic: per-tenant scoring order
+equals per-tenant admission order (the ``seq`` number on every request),
+so a run can be replayed request-by-request bit for bit.
 
-:class:`MicroBatcher`
-    A thread-safe admission queue plus a single scorer thread.  Requests
-    enqueue per tenant in FIFO order; the scorer coalesces the head of one
-    tenant's queue into a micro-batch of at most ``capacity`` rows,
-    optionally lingering ``max_wait`` seconds when it is otherwise idle,
-    and scores it through the tenant's cached executor.  A single scorer
-    keeps each tenant's RNG consumption deterministic: per-tenant scoring
-    order equals per-tenant admission order (the ``seq`` number on every
-    request), so a run can be replayed request-by-request bit for bit.
+Requests are validated by the plan at :meth:`MicroBatcher.submit`, before
+a ``seq`` is assigned, so a malformed request (wrong width, too many
+rows, NaN or infinite values) fails alone and never enters a batch.
 """
 
 from __future__ import annotations
@@ -36,154 +36,10 @@ from collections import deque
 
 import numpy as np
 
-from repro.gan.autoencoder import VanillaAutoencoder
-from repro.gan.cgan import ConditionalGAN
-from repro.gan.vae import ConditionalVAE
 from repro.obs.metrics import get_metrics
-from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 
-__all__ = ["MicroBatcher", "PaddedExecutor", "PendingRequest"]
-
-#: default fixed row capacity of a padded execution
-DEFAULT_CAPACITY = 256
-
-
-class PaddedExecutor:
-    """Fixed-capacity micro-batch scorer over a compiled plan.
-
-    Every :meth:`score` call runs the plan's stage chain at exactly
-    ``capacity`` rows (generator stages at ``n_draws * capacity``), so the
-    per-row results are a pure function of that row's input and its
-    request's noise draws — independent of how requests were coalesced.
-    """
-
-    def __init__(self, plan, *, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValidationError("micro-batch capacity must be >= 1")
-        self.plan = plan
-        self.capacity = int(capacity)
-        #: workspace view of the last execution's merged feature matrix
-        #: (``last_rows`` live rows) — read by shadow scoring for per-feature
-        #: divergence; valid until the next :meth:`score` call
-        self.last_merged: np.ndarray | None = None
-        self.last_rows = 0
-
-    def check_request(self, X) -> np.ndarray:
-        """Validate one request batch; returns a float64 C-order copy."""
-        X = np.ascontiguousarray(X, dtype=np.float64)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise ValidationError(
-                f"request batch must be 2-D with >= 1 row, got shape {X.shape}"
-            )
-        if X.shape[1] != self.plan._n_features:
-            raise ValidationError(
-                f"expected {self.plan._n_features} features, got {X.shape[1]}"
-            )
-        if X.shape[0] > self.capacity:
-            raise ValidationError(
-                f"request of {X.shape[0]} rows exceeds the micro-batch "
-                f"capacity of {self.capacity}"
-            )
-        return X
-
-    def score(self, segments) -> list[np.ndarray]:
-        """Score a coalesced micro-batch; one proba array per segment.
-
-        ``segments`` is a list of per-request row blocks (already
-        validated via :meth:`check_request`) whose total row count must
-        fit the capacity.  Noise is drawn per segment in list order, so
-        the segmentation never changes any request's scores.
-        """
-        plan = self.plan
-        sizes = [int(seg.shape[0]) for seg in segments]
-        m = sum(sizes)
-        if m == 0:
-            return []
-        if m > self.capacity:
-            raise ValidationError(
-                f"micro-batch of {m} rows exceeds capacity {self.capacity}"
-            )
-        capacity = self.capacity
-        ws = plan._ws
-        with get_tracer().span("daemon.micro_batch", rows=m,
-                               requests=len(segments)):
-            Xp = ws.get("mb_x", (capacity, plan._n_features))
-            off = 0
-            for seg, n in zip(segments, sizes):
-                Xp[off:off + n] = seg
-                off += n
-            Xp[m:] = 0.0
-            Xs = plan._scale_stage(Xp)
-            if plan.drift_tracker is not None:
-                plan.drift_tracker.update(Xs[:m])
-            X_inv = plan._split_stage(Xs)
-            X_var = self._reconstruct(X_inv, sizes, m)
-            merged = plan._merge_stage(X_inv, X_var)
-            self.last_merged = merged
-            self.last_rows = m
-            proba = plan.model.predict_proba(merged)
-        out = []
-        off = 0
-        for n in sizes:
-            out.append(proba[off:off + n].copy())
-            off += n
-        return out
-
-    def _reconstruct(self, X_inv: np.ndarray, sizes: list[int],
-                     m: int) -> np.ndarray:
-        """Padded variant reconstruction with per-request noise draws."""
-        plan = self.plan
-        recon, ws, n_draws = plan._recon, plan._ws, plan.n_draws
-        capacity = self.capacity
-        if isinstance(recon, (ConditionalGAN, ConditionalVAE)):
-            code_dim = (recon.noise_dim if isinstance(recon, ConditionalGAN)
-                        else recon.latent_dim)
-            network = (recon.generator_ if isinstance(recon, ConditionalGAN)
-                       else recon.decoder_)
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            n_inv = plan._n_inv
-            g_in = ws.get("mb_g_in", (n_draws * capacity, n_inv + code_dim), dt)
-            z = ws.get("mb_z", (n_draws * capacity, code_dim), np.float64)
-            off = 0
-            for n in sizes:
-                g_off = n_draws * off
-                block = slice(g_off, g_off + n_draws * n)
-                # one draw per request, in admission order — the exact RNG
-                # consumption pattern of per-request scoring
-                plan._rng.standard_normal(out=z[block])
-                plan.rng_draws += z[block].size
-                for d in range(n_draws):
-                    g_in[g_off + d * n:g_off + (d + 1) * n, :n_inv] = (
-                        X_inv[off:off + n]
-                    )
-                g_in[block, n_inv:] = z[block]
-                off += n
-            g_in[n_draws * m:] = 0.0
-            out = network.forward(g_in, training=False)
-            var_hat = ws.zeros("mb_var", (capacity, plan._n_var))
-            off = 0
-            for n in sizes:
-                g_off = n_draws * off
-                draws = out[g_off:g_off + n_draws * n].reshape(
-                    n_draws, n, plan._n_var
-                )
-                total = var_hat[off:off + n]
-                # sequential accumulate, same add order as the plain plan
-                for d in range(n_draws):
-                    total += draws[d]
-                total /= n_draws
-                off += n
-            return var_hat
-        if isinstance(recon, VanillaAutoencoder):
-            out = recon.network_.forward(X_inv, training=False)
-            var_hat = ws.get("mb_var", (capacity, plan._n_var))
-            var_hat[...] = out
-            return var_hat
-        # identity reconstructor (empty variant block)
-        return ws.zeros("mb_var", (capacity, plan._n_var))
+__all__ = ["MicroBatcher", "PendingRequest"]
 
 
 class PendingRequest:
@@ -191,12 +47,12 @@ class PendingRequest:
 
     ``seq`` is the tenant-local admission number — per-tenant scoring
     order always equals ``seq`` order, whatever the coalescing pattern.
-    ``classes`` holds the label classes of the plan that produced
-    ``proba`` (None for a model without ``classes_``), so a hot reload
-    between scoring and labelling cannot mix two plans in one answer.
+    ``plan`` is the plan that produced ``proba``; labels come from it
+    (``plan.labels(proba)``), so a hot reload between scoring and
+    labelling cannot mix two plans in one answer.
     """
 
-    __slots__ = ("tenant", "X", "seq", "enqueued", "proba", "classes",
+    __slots__ = ("tenant", "X", "seq", "enqueued", "proba", "plan",
                  "error", "_event")
 
     def __init__(self, tenant: str, X: np.ndarray, seq: int) -> None:
@@ -205,7 +61,7 @@ class PendingRequest:
         self.seq = seq
         self.enqueued = time.perf_counter()
         self.proba: np.ndarray | None = None
-        self.classes: np.ndarray | None = None
+        self.plan = None
         self.error: Exception | None = None
         self._event = threading.Event()
 
@@ -231,7 +87,8 @@ class MicroBatcher:
     ----------
     cache:
         A :class:`~repro.serve.registry.PlanCache`; tenants resolve to
-        ``(plan, executor)`` entries through it (LRU + hot reload).
+        compiled plans through it (LRU + hot reload); its
+        ``micro_batch_rows`` is the padded capacity of every execution.
     max_wait:
         Linger budget in seconds: when the scorer picks up a lone request
         and no other tenant has work queued, it waits up to this long for
@@ -293,11 +150,12 @@ class MicroBatcher:
 
     def submit(self, tenant: str, X) -> PendingRequest:
         """Enqueue one request; returns a waitable :class:`PendingRequest`."""
-        # validate rows/width against the tenant's plan up front, so the
-        # caller gets the error synchronously (also loads the plan on the
-        # first request for a tenant)
+        # validate rows, width and finiteness against the tenant's plan up
+        # front, so the caller gets the error synchronously and a bad
+        # request never takes a seq or joins a batch (also loads the plan
+        # on the first request for a tenant)
         entry = self.cache.get(tenant)
-        X = entry.executor.check_request(X)
+        X = entry.plan.check_request(X, capacity=self.cache.micro_batch_rows)
         with self._cond:
             if self._stop:
                 raise ValidationError("batcher is stopped")
@@ -376,7 +234,9 @@ class MicroBatcher:
             registry = get_metrics()
             try:
                 entry = self.cache.get(tenant)
-                probas = entry.executor.score([p.X for p in batch])
+                probas = entry.plan.execute(
+                    [p.X for p in batch], capacity=self.cache.micro_batch_rows
+                )
             except Exception as exc:  # noqa: BLE001 — scorer must not die
                 registry.counter("daemon.errors_total").inc(len(batch))
                 for pending in batch:
@@ -404,10 +264,9 @@ class MicroBatcher:
                     registry.histogram("daemon.request_seconds").observe(
                         now - pending.enqueued
                     )
-            classes = getattr(entry.plan.model, "classes_", None)
             for pending, proba in zip(batch, probas):
                 pending.proba = proba
-                pending.classes = classes
+                pending.plan = entry.plan
                 pending._event.set()
 
     def _shadow_score(self, shadow, batch, probas, entry) -> None:
@@ -420,19 +279,13 @@ class MicroBatcher:
         and the incumbent's results flow on untouched.
         """
         try:
-            segments = [p.X for p in batch]
-            inc_plan = entry.plan
-            inc_exec = entry.executor
-            m = inc_exec.last_rows
-            inc_var = np.array(
-                inc_exec.last_merged[:m][:, inc_plan._var_idx], copy=True
-            )
-            cand_probas = shadow.entry.executor.score(segments)
             cand_plan = shadow.entry.plan
-            cand_exec = shadow.entry.executor
-            cand_var = cand_exec.last_merged[:m][:, cand_plan._var_idx]
+            cand_probas = cand_plan.execute(
+                [p.X for p in batch], capacity=self.cache.micro_batch_rows
+            )
             verdict = shadow.evaluator.observe(
-                np.vstack(probas), np.vstack(cand_probas), inc_var, cand_var
+                np.vstack(probas), np.vstack(cand_probas),
+                entry.plan.last_variant(), cand_plan.last_variant(),
             )
         except Exception:  # noqa: BLE001 — shadow must not break serving
             shadow.errors += 1

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
-from repro.serve.batcher import DEFAULT_CAPACITY, MicroBatcher, PendingRequest
-from repro.serve.registry import PlanCache
+from repro.serve.batcher import MicroBatcher, PendingRequest
+from repro.serve.registry import DEFAULT_CAPACITY, PlanCache
 from repro.utils.errors import ValidationError
 
 __all__ = ["DaemonConfig", "ServeDaemon", "run_daemon"]

@@ -8,6 +8,11 @@ buffers.  At float64 the plan's probabilities are **bit-identical** to
 ``FSGANPipeline.predict_proba``; at float32 they match within the fused-path
 tolerance contract (see EXPERIMENTS.md).
 
+:meth:`InferencePlan.execute` holds the only copy of that chain.  It scores
+a list of request blocks at a fixed, zero-padded row capacity, drawing
+noise once per block — the daemon's bit-exact micro-batch path.
+``predict_proba`` and ``transform`` are the same chain without padding.
+
 The plan owns a *clone* of the reconstruction model's RNG, snapshotted at
 compile time, so serving never perturbs the pipeline's noise stream (and
 vice versa): a plan compiled at state S produces the same draws the pipeline
@@ -27,9 +32,19 @@ from repro.nn.workspace import Workspace
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
-from repro.utils.validation import check_array, check_is_fitted
+from repro.utils.validation import check_is_fitted
 
 __all__ = ["InferencePlan", "clone_rng", "fast_forward_rng"]
+
+#: ``serve.stage_seconds`` labels, in chain order
+_STAGES = ("scale", "split", "generate", "merge", "predict")
+
+
+def _lap(laps: list, t0: float) -> float:
+    """Append the seconds since ``t0`` to ``laps``; returns the new mark."""
+    t1 = time.perf_counter()
+    laps.append(t1 - t0)
+    return t1
 
 
 def clone_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -108,6 +123,38 @@ class InferencePlan:
         #: cache keeps eviction/reload bit-identical mid-stream.
         self.rng_draws = 0
         self.spec = pipeline.export_plan()
+        self._last_variant: np.ndarray | None = None
+
+    # -- validation ----------------------------------------------------------
+
+    def check_request(self, X, *, capacity: int | None = None) -> np.ndarray:
+        """Validate one request batch; returns it as a float64 C-order array.
+
+        A 1-D input is one row.  Rows must be finite and match the plan's
+        feature count; ``capacity`` (if given) bounds the row count.
+        """
+        try:
+            X = np.ascontiguousarray(X, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"X is not a numeric matrix: {exc}") from exc
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if X.ndim != 2 or X.shape[0] < 1:
+            raise ValidationError(
+                f"request batch must be 2-D with >= 1 row, got shape {X.shape}"
+            )
+        if X.shape[1] != self._n_features:
+            raise ValidationError(
+                f"expected {self._n_features} features, got {X.shape[1]}"
+            )
+        if capacity is not None and X.shape[0] > capacity:
+            raise ValidationError(
+                f"request of {X.shape[0]} rows exceeds the micro-batch "
+                f"capacity of {capacity}"
+            )
+        if not np.isfinite(X).all():
+            raise ValidationError("X contains NaN or infinite values")
+        return X
 
     # -- stages (each replays the live pipeline's exact ufunc sequence) ------
 
@@ -127,51 +174,126 @@ class InferencePlan:
         np.take(Xs, self._inv_idx, axis=1, out=inv)
         return inv
 
-    def _reconstruct_stage(self, X_inv: np.ndarray) -> np.ndarray:
+    def _reconstruct_stage(self, X_inv: np.ndarray,
+                           sizes: list[int]) -> np.ndarray:
+        """Variant block for every row, drawing noise once per segment."""
         recon, ws, n_draws = self._recon, self._ws, self.n_draws
-        n = X_inv.shape[0]
-        if isinstance(recon, ConditionalGAN):
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            g_in = ws.get("g_in", (n_draws * n, self._n_inv + recon.noise_dim), dt)
-            z = ws.get("z", (n_draws * n, recon.noise_dim), np.float64)
-            self._rng.standard_normal(out=z)
-            self.rng_draws += z.size
-            inv_rows = g_in[:, : self._n_inv]
-            for d in range(n_draws):
-                inv_rows[d * n : (d + 1) * n] = X_inv
-            g_in[:, self._n_inv :] = z
-            out = recon.generator_.forward(g_in, training=False)
-        elif isinstance(recon, ConditionalVAE):
-            dt = getattr(recon, "_dtype", np.dtype(np.float64))
-            dec_in = ws.get("dec_in", (n_draws * n, self._n_inv + recon.latent_dim), dt)
-            z = ws.get("z", (n_draws * n, recon.latent_dim), np.float64)
-            self._rng.standard_normal(out=z)
-            self.rng_draws += z.size
-            inv_rows = dec_in[:, : self._n_inv]
-            for d in range(n_draws):
-                inv_rows[d * n : (d + 1) * n] = X_inv
-            dec_in[:, self._n_inv :] = z
-            out = recon.decoder_.forward(dec_in, training=False)
-        elif isinstance(recon, VanillaAutoencoder):
-            out = recon.network_.forward(X_inv, training=False)
-            var_hat = ws.get("var_hat", (n, self._n_var))
-            var_hat[...] = out
+        capacity = X_inv.shape[0]
+        if isinstance(recon, VanillaAutoencoder):
+            var_hat = ws.get("var_hat", (capacity, self._n_var))
+            var_hat[...] = recon.network_.forward(X_inv, training=False)
             return var_hat
+        if isinstance(recon, ConditionalGAN):
+            network, code_dim = recon.generator_, recon.noise_dim
+        elif isinstance(recon, ConditionalVAE):
+            network, code_dim = recon.decoder_, recon.latent_dim
         else:  # identity reconstructor (empty variant block)
-            return ws.zeros("var_hat", (n, self._n_var))
-        draws = out.reshape(n_draws, n, self._n_var)
-        # sequential accumulate — same add order as ConditionalGAN.generate
-        total = ws.zeros("total", (n, self._n_var))
-        for d in range(n_draws):
-            total += draws[d]
-        total /= n_draws
-        return total
+            return ws.zeros("var_hat", (capacity, self._n_var))
+        dt = getattr(recon, "_dtype", np.dtype(np.float64))
+        n_inv = self._n_inv
+        g_in = ws.get("g_in", (n_draws * capacity, n_inv + code_dim), dt)
+        z = ws.get("z", (n_draws * capacity, code_dim), np.float64)
+        off = 0
+        for n in sizes:
+            g_off = n_draws * off
+            block = slice(g_off, g_off + n_draws * n)
+            # one draw per segment, in list order — the exact RNG
+            # consumption of scoring each segment on its own
+            self._rng.standard_normal(out=z[block])
+            self.rng_draws += z[block].size
+            for d in range(n_draws):
+                g_in[g_off + d * n:g_off + (d + 1) * n, :n_inv] = (
+                    X_inv[off:off + n]
+                )
+            g_in[block, n_inv:] = z[block]
+            off += n
+        g_in[n_draws * off:] = 0.0
+        out = network.forward(g_in, training=False)
+        var_hat = ws.zeros("var_hat", (capacity, self._n_var))
+        off = 0
+        for n in sizes:
+            g_off = n_draws * off
+            draws = out[g_off:g_off + n_draws * n].reshape(
+                n_draws, n, self._n_var
+            )
+            total = var_hat[off:off + n]
+            # sequential accumulate — same add order as ConditionalGAN.generate
+            for d in range(n_draws):
+                total += draws[d]
+            total /= n_draws
+            off += n
+        return var_hat
 
     def _merge_stage(self, X_inv: np.ndarray, X_var: np.ndarray) -> np.ndarray:
         merged = self._ws.get("merged", (X_inv.shape[0], self._n_features))
         merged[:, self._inv_idx] = X_inv
         merged[:, self._var_idx] = X_var
         return merged
+
+    def _stack(self, segments, capacity: int | None):
+        """Validate segments into one ``capacity``-row zero-padded matrix.
+
+        Returns ``(X, sizes)``; ``capacity=None`` means the total row count.
+        """
+        segments = [self.check_request(seg, capacity=capacity)
+                    for seg in segments]
+        sizes = [seg.shape[0] for seg in segments]
+        m = sum(sizes)
+        if capacity is None:
+            capacity = m
+        elif m > capacity:
+            raise ValidationError(
+                f"micro-batch of {m} rows exceeds capacity {capacity}"
+            )
+        if len(segments) == 1 and m == capacity:
+            return segments[0], sizes
+        X = self._ws.get("padded", (capacity, self._n_features))
+        off = 0
+        for seg, n in zip(segments, sizes):
+            X[off:off + n] = seg
+            off += n
+        X[m:] = 0.0
+        return X, sizes
+
+    def _chain(self, X: np.ndarray, sizes: list[int], *,
+               predict: bool) -> np.ndarray:
+        """Scale → drift update → split → reconstruct → merge (→ predict).
+
+        Runs over the stacked matrix from :meth:`_stack`; the drift tracker
+        sees only the live rows.  Returns the merged workspace buffer, or
+        the model's probabilities when ``predict``.  Every stage opens a
+        span; its ``serve.stage_seconds`` histogram is observed only under
+        an enabled metrics registry.
+        """
+        m = sum(sizes)
+        tracer, laps = get_tracer(), []
+        t = time.perf_counter()
+        with tracer.span("serve.scale", n_samples=m):
+            Xs = self._scale_stage(X)
+        t = _lap(laps, t)
+        if self.drift_tracker is not None:
+            self.drift_tracker.update(Xs[:m])
+            t = time.perf_counter()  # tracker time is no stage's
+        with tracer.span("serve.split"):
+            X_inv = self._split_stage(Xs)
+        t = _lap(laps, t)
+        with tracer.span("serve.reconstruct", n_draws=self.n_draws):
+            X_var = self._reconstruct_stage(X_inv, sizes)
+        t = _lap(laps, t)
+        with tracer.span("serve.merge"):
+            out = self._merge_stage(X_inv, X_var)
+        t = _lap(laps, t)
+        self._last_variant = X_var[:m]
+        if predict:
+            with tracer.span("serve.predict"):
+                out = self.model.predict_proba(out)
+            _lap(laps, t)
+        registry = get_metrics()
+        if registry.enabled:
+            for stage, seconds in zip(_STAGES, laps):
+                registry.histogram("serve.stage_seconds",
+                                   stage=stage).observe(seconds)
+        return out
 
     # -- public surface ------------------------------------------------------
 
@@ -185,77 +307,64 @@ class InferencePlan:
         self.drift_tracker = tracker
         return self
 
+    def execute(self, segments, *,
+                capacity: int | None = None) -> list[np.ndarray]:
+        """Score request row blocks in one pass; one proba array per block.
+
+        The chain runs at exactly ``capacity`` rows (zero-padded; None
+        means the total row count, i.e. no padding) and draws noise once
+        per segment in list order.  At a fixed capacity each row's result
+        is therefore a pure function of its input and its segment's draws:
+        scoring ``[A, B]`` together is bit-identical to ``[A]`` then
+        ``[B]`` (see DESIGN.md, "Micro-batch coalescing").
+        """
+        if not segments:
+            return []
+        t0 = time.perf_counter()
+        X, sizes = self._stack(segments, capacity)
+        with get_tracer().span("serve.batch", n_samples=sum(sizes),
+                               requests=len(sizes)):
+            proba = self._chain(X, sizes, predict=True)
+        out, off = [], 0
+        for n in sizes:
+            out.append(proba[off:off + n].copy())
+            off += n
+        registry = get_metrics()
+        if registry.enabled:
+            seconds = time.perf_counter() - t0
+            registry.counter("serve_batches").inc()
+            registry.counter("serve_rows").inc(off)
+            registry.histogram("serve.latency").observe(seconds)
+            registry.histogram("serve_batch_seconds").observe(seconds)
+        return out
+
+    def last_variant(self) -> np.ndarray:
+        """Reconstructed variant block of the last execution's live rows.
+
+        A workspace view (rows in segment order, columns in variant-index
+        order), valid until the plan's next call.  Shadow scoring compares
+        it between the incumbent and the candidate plan.
+        """
+        return self._last_variant
+
     def transform(self, X) -> np.ndarray:
         """Source-like samples in scaled space (the pipeline's Eq. 11 path).
 
         Returns a workspace buffer, valid until the next call.
         """
-        X = check_array(X)
-        if X.shape[1] != self._n_features:
-            raise ValidationError(
-                f"expected {self._n_features} features, got {X.shape[1]}"
-            )
-        tracer = get_tracer()
-        registry = get_metrics()
-        if not registry.enabled:  # fast path: spans only
-            with tracer.span("serve.scale", n_samples=X.shape[0]):
-                Xs = self._scale_stage(X)
-            if self.drift_tracker is not None:
-                self.drift_tracker.update(Xs)
-            with tracer.span("serve.split"):
-                X_inv = self._split_stage(Xs)
-            with tracer.span("serve.reconstruct", n_draws=self.n_draws):
-                X_var = self._reconstruct_stage(X_inv)
-            with tracer.span("serve.merge"):
-                return self._merge_stage(X_inv, X_var)
-
-        stage_seconds = registry.histogram  # labeled per-stage latencies
-        t0 = time.perf_counter()
-        with tracer.span("serve.scale", n_samples=X.shape[0]):
-            Xs = self._scale_stage(X)
-        t1 = time.perf_counter()
-        stage_seconds("serve.stage_seconds", stage="scale").observe(t1 - t0)
-        if self.drift_tracker is not None:
-            self.drift_tracker.update(Xs)
-            t1 = time.perf_counter()
-        with tracer.span("serve.split"):
-            X_inv = self._split_stage(Xs)
-        t2 = time.perf_counter()
-        stage_seconds("serve.stage_seconds", stage="split").observe(t2 - t1)
-        with tracer.span("serve.reconstruct", n_draws=self.n_draws):
-            X_var = self._reconstruct_stage(X_inv)
-        t3 = time.perf_counter()
-        stage_seconds("serve.stage_seconds", stage="generate").observe(t3 - t2)
-        with tracer.span("serve.merge"):
-            merged = self._merge_stage(X_inv, X_var)
-        stage_seconds("serve.stage_seconds", stage="merge").observe(
-            time.perf_counter() - t3
-        )
-        return merged
+        X, sizes = self._stack([X], None)
+        return self._chain(X, sizes, predict=False)
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities; bit-identical (float64) to the live pipeline."""
-        registry = get_metrics()
-        t0 = time.perf_counter() if registry.enabled else 0.0
-        with get_tracer().span("serve.batch", n_samples=len(X)):
-            merged = self.transform(X)
-            t1 = time.perf_counter() if registry.enabled else 0.0
-            with get_tracer().span("serve.predict"):
-                proba = self.model.predict_proba(merged)
-        if registry.enabled:
-            now = time.perf_counter()
-            registry.histogram("serve.stage_seconds", stage="predict").observe(
-                now - t1
-            )
-            registry.counter("serve_batches").inc()
-            registry.counter("serve_rows").inc(len(X))
-            registry.histogram("serve.latency").observe(now - t0)
-            registry.histogram("serve_batch_seconds").observe(now - t0)
-        return proba
+        return self.execute([X])[0]
 
-    def predict(self, X) -> np.ndarray:
-        """Predicted labels (argmax of :meth:`predict_proba`)."""
-        proba = self.predict_proba(X)
+    def labels(self, proba: np.ndarray) -> np.ndarray:
+        """Class labels of probability rows (argmax through ``classes_``)."""
         codes = np.argmax(proba, axis=1)
         classes = getattr(self.model, "classes_", None)
         return classes[codes] if classes is not None else codes
+
+    def predict(self, X) -> np.ndarray:
+        """Predicted labels (argmax of :meth:`predict_proba`)."""
+        return self.labels(self.predict_proba(X))

@@ -4,8 +4,9 @@ The daemon serves many tenants — one ``(domain, target)`` adapter artifact
 each, the paper's deployment shape — out of a directory of versioned
 ``.npz`` bundles (``<root>/<tenant>.npz``, the ``ArtifactStore`` layout).
 :class:`PlanCache` keeps at most ``capacity`` tenants hot: each entry is a
-loaded artifact compiled into an :class:`~repro.serve.plan.InferencePlan`
-wrapped in a fixed-capacity :class:`~repro.serve.batcher.PaddedExecutor`.
+loaded artifact compiled into an :class:`~repro.serve.plan.InferencePlan`.
+``micro_batch_rows`` is the fixed capacity every micro-batch execution pads
+to (``plan.execute(segments, capacity=micro_batch_rows)``).
 
 Reload semantics:
 
@@ -46,11 +47,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.metrics import get_metrics
-from repro.serve.batcher import DEFAULT_CAPACITY, PaddedExecutor
 from repro.serve.plan import fast_forward_rng
-from repro.utils.errors import ArtifactError
+from repro.utils.errors import ArtifactError, ValidationError
 
 __all__ = ["PlanCache", "ShadowState", "TenantEntry"]
+
+#: default fixed row capacity of a padded micro-batch execution
+DEFAULT_CAPACITY = 256
 
 #: tenant names are path components; keep them boring and traversal-proof
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -58,12 +61,11 @@ _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 @dataclass
 class TenantEntry:
-    """One hot tenant: compiled plan + executor + load-time metadata."""
+    """One hot tenant: compiled plan + load-time metadata."""
 
     tenant: str
     path: Path
     plan: object
-    executor: PaddedExecutor
     manifest: dict
     mtime_ns: int
     size: int
@@ -102,7 +104,7 @@ class PlanCache:
     n_draws:
         Monte-Carlo draws per sample for every compiled plan.
     micro_batch_rows:
-        Fixed row capacity of each tenant's :class:`PaddedExecutor` (and
+        Fixed row capacity every execution of a tenant's plan pads to (and
         therefore the daemon's maximum micro-batch size).
     """
 
@@ -110,6 +112,8 @@ class PlanCache:
                  micro_batch_rows: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ArtifactError("cache capacity must be >= 1")
+        if micro_batch_rows < 1:
+            raise ValidationError("micro-batch capacity must be >= 1")
         self.root = Path(root)
         self.capacity = int(capacity)
         self.n_draws = int(n_draws)
@@ -226,7 +230,6 @@ class PlanCache:
             tenant=tenant,
             path=path,
             plan=plan,
-            executor=PaddedExecutor(plan, capacity=self.micro_batch_rows),
             manifest=loaded.manifest,
             mtime_ns=stat.st_mtime_ns,
             size=stat.st_size,
@@ -261,7 +264,7 @@ class PlanCache:
         """Load a candidate bundle for concurrent shadow scoring.
 
         The micro-batcher scores every ``tenant`` batch through the shadow
-        entry's executor after the incumbent's and folds both outputs into
+        entry's plan after the incumbent's and folds both outputs into
         ``evaluator`` (a :class:`~repro.adapt.shadow.ShadowEvaluator`).
         ``on_verdict(state)`` fires once, from the scorer thread, when the
         evaluator reaches a verdict.

@@ -200,9 +200,7 @@ def run_serve(
             plan.predict_proba(X)
         seconds = time.perf_counter() - t0
 
-        codes = np.argmax(proba, axis=1)
-        classes = getattr(plan.model, "classes_", None)
-        labels = classes[codes] if classes is not None else codes
+        labels = plan.labels(proba)
         rows_scored = X.shape[0] * repeat
         summary = {
             "artifact": str(artifact_path),

@@ -173,10 +173,8 @@ class _Handler(SingleSendHandler):
         except Exception as exc:  # noqa: BLE001 — handler must answer
             self._send_error(500, exc)
         else:
-            # labels come from the classes of the plan that scored the rows
-            codes = np.argmax(proba, axis=1)
-            classes = pending.classes
-            labels = classes[codes] if classes is not None else codes
+            # labels come from the plan that scored the rows
+            labels = pending.plan.labels(proba)
             self._send_json(200, {
                 "tenant": tenant,
                 "seq": pending.seq,

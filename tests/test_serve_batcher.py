@@ -14,7 +14,7 @@ import pytest
 from repro.core import FSGANPipeline, ReconstructionConfig
 from repro.core.artifacts import save_artifact
 from repro.ml import MLPClassifier
-from repro.serve import MicroBatcher, PaddedExecutor, PlanCache
+from repro.serve import MicroBatcher, PlanCache
 from repro.utils.errors import ValidationError
 
 CAP = 64
@@ -25,12 +25,14 @@ def _segments(X_test, sizes):
     return [X_test[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
-def _fresh_executor(root, name, n_draws=1):
+def _fresh_plan(root, name, n_draws=1):
     cache = PlanCache(root, capacity=8, n_draws=n_draws, micro_batch_rows=CAP)
-    return cache.get(name).executor
+    return cache.get(name).plan
 
 
 class TestPaddedExecutorEquivalence:
+    """Padded execution (``plan.execute`` at a fixed capacity)."""
+
     @pytest.mark.parametrize("pattern", [
         [(5, 1, 14, 3, 9)],                  # one coalesced batch
         [(5, 1, 14), (3, 9)],                # two batches
@@ -42,15 +44,14 @@ class TestPaddedExecutorEquivalence:
         sizes = [n for group in pattern for n in group]
         segments = _segments(X_test, sizes)
         reference = None
-        executor = _fresh_executor(root, names[0])
+        plan = _fresh_plan(root, names[0])
         got, i = [], 0
         for group in pattern:
-            batch = [executor.check_request(s)
-                     for s in segments[i:i + len(group)]]
-            got.extend(executor.score(batch))
+            batch = segments[i:i + len(group)]
+            got.extend(plan.execute(batch, capacity=CAP))
             i += len(group)
-        other = _fresh_executor(root, names[0])
-        reference = [other.score([other.check_request(s)])[0]
+        other = _fresh_plan(root, names[0])
+        reference = [other.execute([s], capacity=CAP)[0]
                      for s in segments]
         for a, b in zip(got, reference):
             np.testing.assert_array_equal(a, b)
@@ -68,49 +69,82 @@ class TestPaddedExecutorEquivalence:
         ).fit(tiny_5gc.X_source, tiny_5gc.y_source, X_few)
         save_artifact(pipe, str(tmp_path / "t.npz"))
         segments = _segments(X_test, (7, 1, 12, 2))
-        ex1 = _fresh_executor(tmp_path, "t", n_draws)
-        coalesced = ex1.score([ex1.check_request(s) for s in segments])
-        ex2 = _fresh_executor(tmp_path, "t", n_draws)
+        plan1 = _fresh_plan(tmp_path, "t", n_draws)
+        coalesced = plan1.execute(segments, capacity=CAP)
+        plan2 = _fresh_plan(tmp_path, "t", n_draws)
         for got, seg in zip(coalesced, segments):
             np.testing.assert_array_equal(
-                got, ex2.score([ex2.check_request(seg)])[0])
+                got, plan2.execute([seg], capacity=CAP)[0])
 
     def test_single_row_requests(self, tenant_root):
         root, names, X_test = tenant_root
         segments = _segments(X_test, [1] * 6)
-        ex1 = _fresh_executor(root, names[0])
-        coalesced = ex1.score([ex1.check_request(s) for s in segments])
-        ex2 = _fresh_executor(root, names[0])
+        plan1 = _fresh_plan(root, names[0])
+        coalesced = plan1.execute(segments, capacity=CAP)
+        plan2 = _fresh_plan(root, names[0])
         for got, seg in zip(coalesced, segments):
             np.testing.assert_array_equal(
-                got, ex2.score([ex2.check_request(seg)])[0])
+                got, plan2.execute([seg], capacity=CAP)[0])
 
 
 class TestPaddedExecutorValidation:
+    """The plan's request validator at a fixed capacity."""
+
     def test_rejects_wrong_width(self, tenant_root):
         root, names, X_test = tenant_root
-        executor = _fresh_executor(root, names[0])
+        plan = _fresh_plan(root, names[0])
         with pytest.raises(ValidationError, match="features"):
-            executor.check_request(X_test[:3, :-1])
+            plan.check_request(X_test[:3, :-1], capacity=CAP)
 
     def test_rejects_oversized_request(self, tenant_root):
         root, names, X_test = tenant_root
-        executor = _fresh_executor(root, names[0])
+        plan = _fresh_plan(root, names[0])
         big = np.repeat(X_test, 5, axis=0)[:CAP + 1]
         with pytest.raises(ValidationError, match="capacity"):
-            executor.check_request(big)
+            plan.check_request(big, capacity=CAP)
 
     def test_rejects_overfull_batch(self, tenant_root):
         root, names, X_test = tenant_root
-        executor = _fresh_executor(root, names[0])
-        seg = executor.check_request(X_test[:CAP])
+        plan = _fresh_plan(root, names[0])
+        seg = plan.check_request(X_test[:CAP], capacity=CAP)
         with pytest.raises(ValidationError, match="capacity"):
-            executor.score([seg, seg])
+            plan.execute([seg, seg], capacity=CAP)
 
     def test_one_dim_request_becomes_row(self, tenant_root):
         root, names, X_test = tenant_root
-        executor = _fresh_executor(root, names[0])
-        assert executor.check_request(X_test[0]).shape == (1, X_test.shape[1])
+        plan = _fresh_plan(root, names[0])
+        row = plan.check_request(X_test[0], capacity=CAP)
+        assert row.shape == (1, X_test.shape[1])
+
+
+class TestNonFiniteRequests:
+    """A NaN or infinite request fails alone at submit, before its seq."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejected_before_it_can_join_a_batch(self, tenant_root, value):
+        root, names, X_test = tenant_root
+        cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
+        batcher = MicroBatcher(cache, max_wait=0.0)
+        valid = batcher.submit(names[0], X_test[:3])
+        bad = X_test[:1].copy()
+        bad[0, 0] = value
+        with pytest.raises(ValidationError, match="NaN or infinite"):
+            batcher.submit(names[0], bad)  # queued next to ``valid``
+        batcher.start()
+        try:
+            got = valid.result(10.0)
+            after = batcher.submit(names[0], X_test[3:5])
+            got_after = after.result(10.0)
+        finally:
+            batcher.stop()
+        assert (valid.seq, after.seq) == (0, 1)
+        reference = _fresh_plan(root, names[0])
+        np.testing.assert_array_equal(
+            got, reference.execute([X_test[:3]], capacity=CAP)[0])
+        np.testing.assert_array_equal(
+            got_after, reference.execute([X_test[3:5]], capacity=CAP)[0])
+        # the rejected row drew no noise: the streams stay in step
+        assert cache.get(names[0]).plan.rng_draws == reference.rng_draws
 
 
 class TestEvictReloadMidStream:
@@ -128,20 +162,20 @@ class TestEvictReloadMidStream:
 
         # reference: one uninterrupted cache scoring three passes
         ref_cache = PlanCache(tmp_path, capacity=8, micro_batch_rows=CAP)
-        ex = ref_cache.get(names[0]).executor
-        reference = [ex.score([ex.check_request(X)])[0] for _ in range(3)]
+        plan = ref_cache.get(names[0]).plan
+        reference = [plan.execute([X], capacity=CAP)[0] for _ in range(3)]
         assert np.any(reference[0] != reference[1])  # RNG moves on
 
         # capacity-1 cache: tenant 0 is evicted between pass 2 and pass 3
         cache = PlanCache(tmp_path, capacity=1, micro_batch_rows=CAP)
-        ex = cache.get(names[0]).executor
-        got = [ex.score([ex.check_request(X)])[0] for _ in range(2)]
+        plan = cache.get(names[0]).plan
+        got = [plan.execute([X], capacity=CAP)[0] for _ in range(2)]
         cache.get(names[1])  # capacity-1 cache: evicts tenant 0
         assert cache.loaded_tenants() == [names[1]]
-        ex = cache.get(names[0]).executor  # reload fast-forwards the stream
+        plan = cache.get(names[0]).plan  # reload fast-forwards the stream
         assert cache.misses == 3
         assert cache.rng_fast_forwards == 1
-        got.append(ex.score([ex.check_request(X)])[0])
+        got.append(plan.execute([X], capacity=CAP)[0])
         for a, b in zip(got, reference):
             np.testing.assert_array_equal(a, b)
 
@@ -171,21 +205,21 @@ class TestEvictReloadMidStream:
         X = X_test[:6]
 
         cache = PlanCache(tmp_path, capacity=8, micro_batch_rows=CAP)
-        ex = cache.get(names[0]).executor
-        first = ex.score([ex.check_request(X)])[0]
-        ex.score([ex.check_request(X)])  # advance the stream
+        plan = cache.get(names[0]).plan
+        first = plan.execute([X], capacity=CAP)[0]
+        plan.execute([X], capacity=CAP)  # advance the stream
         cache.invalidate(names[0])  # position remembered
 
         # swap in a different bundle under the same tenant name
         shutil.copy(root / f"{names[1]}.npz", tmp_path / f"{names[0]}.npz")
-        ex = cache.get(names[0]).executor
-        swapped = ex.score([ex.check_request(X)])[0]
+        plan = cache.get(names[0]).plan
+        swapped = plan.execute([X], capacity=CAP)[0]
         assert cache.rng_fast_forwards == 0  # hash changed: no resume
 
         # and rolling back to the original bundle replays from its start
         shutil.copy(root / f"{names[0]}.npz", tmp_path / f"{names[0]}.npz")
-        ex = cache.get(names[0]).executor
-        rolled_back = ex.score([ex.check_request(X)])[0]
+        plan = cache.get(names[0]).plan
+        rolled_back = plan.execute([X], capacity=CAP)[0]
         assert np.any(first != swapped)
         np.testing.assert_array_equal(rolled_back, first)
 
@@ -202,10 +236,10 @@ class TestMicroBatcher:
         results = [p.result(10.0) for p in pendings]
         batcher.stop()
         assert batcher.batches < len(pendings)
-        fresh = _fresh_executor(root, names[0])
+        fresh = _fresh_plan(root, names[0])
         for pending, got in zip(pendings, results):
             np.testing.assert_array_equal(
-                got, fresh.score([fresh.check_request(pending.X)])[0])
+                got, fresh.execute([pending.X], capacity=CAP)[0])
 
     def test_seq_is_per_tenant_admission_order(self, tenant_root):
         root, names, X_test = tenant_root
@@ -244,14 +278,14 @@ class TestMicroBatcher:
                 t.join()
         # replay every tenant's stream per-request in seq order
         for tenant in names[:2]:
-            executor = _fresh_executor(root, tenant)
+            plan = _fresh_plan(root, tenant)
             items = sorted((seq, X, proba)
                            for (who, seq), (X, proba) in results.items()
                            if who == tenant)
             assert [seq for seq, _, _ in items] == list(range(len(items)))
             for _seq, X, proba in items:
                 np.testing.assert_array_equal(
-                    proba, executor.score([executor.check_request(X)])[0])
+                    proba, plan.execute([X], capacity=CAP)[0])
 
     def test_no_coalesce_mode_scores_singly(self, tenant_root):
         root, names, X_test = tenant_root

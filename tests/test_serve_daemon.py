@@ -153,8 +153,8 @@ class TestHTTP:
                 f"{daemon.url}/v1/score/{names[1]}",
                 {"x": X_test[:6].tolist()})["proba"])
         cache = PlanCache(root, capacity=8, micro_batch_rows=64)
-        executor = cache.get(names[1]).executor
-        expected = executor.score([executor.check_request(X_test[:6])])[0]
+        plan = cache.get(names[1]).plan
+        expected = plan.execute([X_test[:6]], capacity=64)[0]
         np.testing.assert_array_equal(via_http, expected)
 
 
@@ -219,6 +219,43 @@ class TestKeepAliveFraming:
             conn.request("GET", "/healthz")  # reconnects transparently
             assert conn.getresponse().status == 200
             conn.close()
+
+
+class TestNonFiniteBody:
+    def test_nan_token_is_400_and_the_connection_serves_on(self,
+                                                           tenant_root):
+        root, names, X_test = tenant_root
+        rows = X_test[:2].tolist()
+        rows[1][0] = float("nan")
+        bad = json.dumps({"x": rows}).encode()
+        assert b"NaN" in bad  # json.loads accepts the bare token
+        good = json.dumps({"x": X_test[:2].tolist()}).encode()
+        path = f"/v1/score/{names[0]}"
+        with ServeDaemon(_config(root)) as daemon:
+            conn = _connect(daemon)
+            sock = conn.sock
+            resp, raw = _raw_post(conn, path, bad, [
+                ("Content-Length", str(len(bad)))])
+            assert resp.status == 400
+            assert "NaN" in json.loads(raw)["error"]
+            resp, raw = _raw_post(conn, path, good, [
+                ("Content-Length", str(len(good)))])
+            assert resp.status == 200
+            assert json.loads(raw)["seq"] == 0  # the NaN request got none
+            assert conn.sock is sock
+            conn.close()
+
+
+class TestStageMetrics:
+    def test_metrics_expose_every_serve_stage(self, tenant_root):
+        root, names, X_test = tenant_root
+        with ServeDaemon(_config(root)) as daemon:
+            _post(f"{daemon.url}/v1/score/{names[0]}",
+                  {"x": X_test[:2].tolist()})
+            _, body = _get(f"{daemon.url}/metrics")
+        for stage in ("scale", "split", "generate", "merge", "predict"):
+            line = f'serve_stage_seconds_count{{stage="{stage}"}} 1\n'
+            assert line.encode() in body, stage
 
 
 class _CountingWriter:

@@ -116,6 +116,6 @@ class TestHotReload:
         assert fresh is not entry
         # a fresh load restores the artifact's saved RNG state, so both
         # generations score the first request identically
-        a = entry.executor.score([entry.executor.check_request(X_test[:4])])
-        b = fresh.executor.score([fresh.executor.check_request(X_test[:4])])
+        a = entry.plan.execute([X_test[:4]], capacity=cache.micro_batch_rows)
+        b = fresh.plan.execute([X_test[:4]], capacity=cache.micro_batch_rows)
         np.testing.assert_array_equal(a[0], b[0])
