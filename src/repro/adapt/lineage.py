@@ -139,7 +139,15 @@ class ArtifactLineage:
                 "previous": None,
                 "versions": [],
             }
-        doc = json.loads(path.read_text())
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise ArtifactError(f"corrupt lineage index {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ArtifactError(
+                f"lineage index {path} is a JSON {type(doc).__name__}, "
+                "not an object"
+            )
         if doc.get("schema") != LINEAGE_SCHEMA:
             raise ArtifactError(
                 f"unknown lineage schema {doc.get('schema')!r} in {path}"

@@ -21,13 +21,10 @@ _EXPORTS = {
     "FeatureSeparator": "repro.core.feature_separation",
     "DriftMonitor": "repro.core.monitor",
     "DriftReport": "repro.core.monitor",
-    "load_adapter": "repro.core.persistence",
-    "save_adapter": "repro.core.persistence",
     "FSGANPipeline": "repro.core.pipeline",
     "FSModel": "repro.core.pipeline",
     "VariantReconstructor": "repro.core.reconstruction",
     "ARTIFACT_SCHEMA_VERSION": "repro.core.artifacts",
-    "AdapterBundle": "repro.core.artifacts",
     "ArtifactStore": "repro.core.artifacts",
     "LoadedArtifact": "repro.core.artifacts",
     "load_artifact": "repro.core.artifacts",
@@ -39,7 +36,6 @@ __all__ = sorted(_EXPORTS)
 if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     from repro.core.artifacts import (
         ARTIFACT_SCHEMA_VERSION,
-        AdapterBundle,
         ArtifactStore,
         LoadedArtifact,
         load_artifact,
@@ -58,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis aid only
     )
     from repro.core.feature_separation import FeatureSeparator
     from repro.core.monitor import DriftMonitor, DriftReport
-    from repro.core.persistence import load_adapter, save_adapter
     from repro.core.pipeline import FSGANPipeline, FSModel
     from repro.core.reconstruction import VariantReconstructor
 

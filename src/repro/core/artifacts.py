@@ -8,9 +8,9 @@ provenance, optional drift-monitor thresholds, and the estimator's exported
 serve plan.  ``load_artifact`` restores the estimator in a fresh process with
 no live pipeline or training configuration required.
 
-Format v1 (the original ``persistence.save_adapter`` layout) is detected by
-its ``meta_json`` key and migrated on load through a read-only shim, so old
-bundles keep working.
+Schema v2 is the only layout: ``load_artifact`` is the one reader and
+``save_artifact`` the one writer.  A bundle that cannot be decoded or
+restored raises :class:`~repro.utils.errors.ArtifactError` naming its path.
 """
 
 from __future__ import annotations
@@ -22,17 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.config import FSConfig, ReconstructionConfig
 from repro.core.estimator import (
     Estimator,
     decode_json,
     encode_json,
     pack_estimator,
-    register_estimator,
     unpack_estimator,
 )
 from repro.utils.errors import ArtifactError
-from repro.utils.validation import check_is_fitted
 
 ARTIFACT_SCHEMA = "repro.artifact"
 ARTIFACT_SCHEMA_VERSION = 2
@@ -102,44 +99,6 @@ def _monitor_to_jsonable(monitor) -> dict | None:
     }
 
 
-@register_estimator("fsgan_adapter")
-class AdapterBundle(Estimator):
-    """The shippable adapter of a :class:`FSGANPipeline`: scaler + FS + generator.
-
-    In the paper's deployment model the downstream network-management model
-    never leaves its host; what moves between systems is this lightweight
-    bundle.  ``load_adapter`` grafts it onto a pipeline whose downstream
-    model the caller already holds.
-    """
-
-    _fitted_attr = "reconstructor_"
-    _state_estimators = ("scaler_", "separator_", "reconstructor_")
-
-    def __init__(
-        self,
-        *,
-        fs_config: FSConfig | None = None,
-        reconstruction_config: ReconstructionConfig | None = None,
-    ) -> None:
-        self.fs_config = fs_config or FSConfig()
-        self.reconstruction_config = reconstruction_config or ReconstructionConfig()
-        self.scaler_ = None
-        self.separator_ = None
-        self.reconstructor_ = None
-
-    @classmethod
-    def from_pipeline(cls, pipeline) -> "AdapterBundle":
-        check_is_fitted(pipeline, "reconstructor_")
-        bundle = cls(
-            fs_config=pipeline.fs_config,
-            reconstruction_config=pipeline.reconstruction_config,
-        )
-        bundle.scaler_ = pipeline.scaler_
-        bundle.separator_ = pipeline.separator_
-        bundle.reconstructor_ = pipeline.reconstructor_
-        return bundle
-
-
 @dataclass
 class LoadedArtifact:
     """A restored estimator together with its manifest."""
@@ -202,11 +161,11 @@ def save_artifact(estimator: Estimator, path, *, provenance=None, monitor=None,
     return path
 
 
-def load_artifact(path, *, verify_hash: bool = True) -> LoadedArtifact:
+def load_artifact(path) -> LoadedArtifact:
     """Restore an artifact bundle; no live pipeline or config is needed.
 
-    Legacy v1 adapter files (``persistence.save_adapter`` output) are
-    migrated transparently into an :class:`AdapterBundle`.
+    The content hash is always checked.  Any bundle that cannot be read,
+    decoded or restored raises :class:`ArtifactError` naming ``path``.
     """
     path = Path(path)
     if not path.exists():
@@ -215,122 +174,49 @@ def load_artifact(path, *, verify_hash: bool = True) -> LoadedArtifact:
         data = np.load(path, allow_pickle=False)
     except Exception as exc:  # truncated / half-written bundle
         raise ArtifactError(f"unreadable artifact file {path}: {exc}") from exc
-    if "meta_json" in data.files:
-        return _load_legacy_adapter(data)
     if _MANIFEST_KEY not in data.files:
+        raise ArtifactError(f"{path} is not a repro artifact (no manifest)")
+    try:
+        manifest = decode_json(data[_MANIFEST_KEY])
+    except Exception as exc:  # bad bytes, bad UTF-8 or bad JSON
+        raise ArtifactError(f"undecodable manifest in {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
         raise ArtifactError(
-            f"{path} is not a repro artifact (no manifest and no legacy header)"
+            f"manifest in {path} is a JSON {type(manifest).__name__}, "
+            "not an object"
         )
-    manifest = decode_json(data[_MANIFEST_KEY])
     if manifest.get("schema") != ARTIFACT_SCHEMA:
         raise ArtifactError(f"unknown artifact schema {manifest.get('schema')!r}")
     version = manifest.get("schema_version")
     if version != ARTIFACT_SCHEMA_VERSION:
         raise ArtifactError(
             f"unsupported artifact schema version {version} "
-            f"(this build reads version {ARTIFACT_SCHEMA_VERSION} and legacy v1)"
+            f"(this build reads version {ARTIFACT_SCHEMA_VERSION})"
         )
     arrays = {name: data[name] for name in data.files if name != _MANIFEST_KEY}
-    if verify_hash:
-        expected = manifest.get("content_hash")
-        actual = _content_hash(arrays)
-        if expected != actual:
-            raise ArtifactError(
-                f"artifact content hash mismatch in {path}: "
-                f"manifest says {expected}, payload hashes to {actual}"
-            )
-    estimator = unpack_estimator(arrays)
-    return LoadedArtifact(estimator=estimator, manifest=manifest)
-
-
-def _load_legacy_adapter(data) -> LoadedArtifact:
-    """Migration shim for format v1 (the original flat adapter layout)."""
-    from repro.causal.fnode import FNodeResult
-    from repro.core.feature_separation import FeatureSeparator
-    from repro.gan.cgan import ConditionalGAN
-    from repro.ml.preprocessing import MinMaxScaler
-
-    meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
-    if meta.get("format_version") != 1:
+    expected = manifest.get("content_hash")
+    actual = _content_hash(arrays)
+    if expected != actual:
         raise ArtifactError(
-            f"unsupported legacy adapter format version {meta.get('format_version')}"
+            f"artifact content hash mismatch in {path}: "
+            f"manifest says {expected}, payload hashes to {actual}"
         )
-
-    scaler = MinMaxScaler()
-    scaler.data_min_ = np.asarray(data["scaler_min"], dtype=np.float64)
-    scaler.data_max_ = np.asarray(data["scaler_max"], dtype=np.float64)
-    scaler._compute_scale()
-
-    fs_config = FSConfig(**meta["fs_config"])
-    separator = FeatureSeparator(fs_config)
-    separator.n_features_ = int(meta["n_features"])
-    separator.result_ = FNodeResult(
-        variant_indices=np.asarray(data["variant_indices"]),
-        invariant_indices=np.asarray(data["invariant_indices"]),
-        p_values=np.asarray(data["p_values"]),
-    )
-
-    rec_meta = meta["reconstruction"]
-    gan = ConditionalGAN(
-        noise_dim=int(rec_meta["noise_dim"]),
-        hidden_size=int(rec_meta["hidden_size"]),
-        conditional=bool(rec_meta["conditional"]),
-        epochs=1,
-        random_state=0,
-    )
-    gan.n_invariant_ = int(rec_meta["n_invariant"])
-    gan.n_variant_ = int(rec_meta["n_variant"])
-    gan.n_classes_ = int(rec_meta["n_classes"]) if rec_meta["n_classes"] else 0
-    gan._rng = np.random.default_rng(0)
-    rng = np.random.default_rng(0)
-    gan.generator_ = gan._build_generator(rng)
-    gan.discriminator_ = gan._build_discriminator(rng)
-    gan.generator_.load_state_dict(
-        {k.removeprefix("generator."): data[k] for k in data.files
-         if k.startswith("generator.")}
-    )
-    gan.discriminator_.load_state_dict(
-        {k.removeprefix("discriminator."): data[k] for k in data.files
-         if k.startswith("discriminator.")}
-    )
-
-    from repro.core.reconstruction import VariantReconstructor
-
-    reconstruction_config = ReconstructionConfig(
-        strategy=rec_meta["strategy"],
-        noise_dim=int(rec_meta["noise_dim"]),
-        hidden_size=int(rec_meta["hidden_size"]),
-    )
-    reconstructor = VariantReconstructor(reconstruction_config)
-    reconstructor.model_ = gan
-    reconstructor.n_classes_ = gan.n_classes_ or None
-
-    bundle = AdapterBundle(
-        fs_config=fs_config, reconstruction_config=reconstruction_config
-    )
-    bundle.scaler_ = scaler
-    bundle.separator_ = separator
-    bundle.reconstructor_ = reconstructor
-    manifest = {
-        "schema": ARTIFACT_SCHEMA,
-        "schema_version": 1,
-        "migrated": True,
-        "kind": "fsgan_adapter",
-        "params": None,
-        "provenance": None,
-        "monitor": None,
-        "plan": None,
-        "content_hash": None,
-    }
-    return LoadedArtifact(estimator=bundle, manifest=manifest)
+    try:
+        estimator = unpack_estimator(arrays)
+    except Exception as exc:  # hash-consistent but incomplete payload
+        raise ArtifactError(
+            f"cannot restore the estimator in {path}: "
+            f"{type(exc).__name__}: {exc}"
+        ) from exc
+    return LoadedArtifact(estimator=estimator, manifest=manifest)
 
 
 class ArtifactStore:
     """Directory of named, versioned artifact bundles.
 
     Thin convenience over :func:`save_artifact` / :func:`load_artifact`:
-    ``store.save("adapter", est)`` writes ``<root>/adapter.npz`` (plus the
-    JSON sidecar); ``store.load("adapter")`` restores it; ``store.list()``
+    ``store.save("pipeline", est)`` writes ``<root>/pipeline.npz`` (plus the
+    JSON sidecar); ``store.load("pipeline")`` restores it; ``store.list()``
     enumerates names with their manifests.
     """
 

@@ -156,7 +156,6 @@ _LAZY_MODULES = (
     "repro.core.feature_separation",
     "repro.core.reconstruction",
     "repro.core.pipeline",
-    "repro.core.artifacts",
     "repro.baselines.naive",
     "repro.baselines.coral",
     "repro.baselines.icd",

@@ -13,6 +13,39 @@ from repro.datasets import (
 )
 
 
+def _drop_state_array(data):
+    """A hash-consistent payload that lacks one state array."""
+    from repro.core.artifacts import _content_hash
+    from repro.core.estimator import decode_json, encode_json
+
+    manifest = decode_json(data.pop("__manifest__"))
+    del data["scaler_.data_min_"]
+    manifest["content_hash"] = _content_hash(data)
+    data["__manifest__"] = encode_json(manifest)
+
+
+def _undecodable_manifest(data):
+    data["__manifest__"] = np.frombuffer(b"\xff\xfe{", dtype=np.uint8)
+
+
+def _list_manifest(data):
+    from repro.core.estimator import encode_json
+
+    data["__manifest__"] = encode_json(["schema", 2])
+
+
+@pytest.fixture(params=[
+    (_undecodable_manifest, "undecodable manifest"),
+    (_list_manifest, "not an object"),
+    (_drop_state_array, "cannot restore"),
+], ids=["undecodable", "list", "missing-state"])
+def malformation(request):
+    """``(corrupt, message)``: ``corrupt`` edits a pipeline bundle's arrays
+    in place into a malformed bundle; ``message`` is part of the
+    ArtifactError that loading it must raise."""
+    return request.param
+
+
 @pytest.fixture()
 def rng():
     """Fresh deterministic generator per test (no cross-test coupling)."""

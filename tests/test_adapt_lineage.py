@@ -177,3 +177,17 @@ class TestIndexAndIntrospection:
         path.write_text(path.read_text().replace(LINEAGE_SCHEMA, "bogus/v9"))
         with pytest.raises(ArtifactError, match="unknown lineage schema"):
             lineage.active("t")
+
+    @pytest.mark.parametrize("text, match", [
+        ("{not json", "corrupt lineage index"),
+        ("[1, 2]", "not an object"),
+    ], ids=["bad-json", "list"])
+    def test_corrupt_index_raises_artifact_error(self, lineage, models,
+                                                 text, match):
+        model, _, _ = models
+        lineage.publish("t", model, parent=None, state="active")
+        lineage.index_path("t").write_text(text)
+        with pytest.raises(ArtifactError, match=match):
+            lineage.active("t")
+        with pytest.raises(ArtifactError, match=match):
+            lineage.history("t")

@@ -1,4 +1,4 @@
-"""Versioned artifact store: round trips, migration, integrity, wrappers.
+"""Versioned artifact store: round trips, integrity, malformed bundles.
 
 Includes the cross-process contract: every registered baseline and ml model
 is saved in this process and reloaded in a **fresh interpreter** with no
@@ -17,14 +17,12 @@ import pytest
 from repro.core import FSGANPipeline, ReconstructionConfig
 from repro.core.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
-    AdapterBundle,
     ArtifactStore,
     load_artifact,
     save_artifact,
 )
-from repro.core.persistence import load_adapter, save_adapter
 from repro.ml import MLPClassifier
-from repro.utils.errors import ArtifactError, ValidationError
+from repro.utils.errors import ArtifactError
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -89,8 +87,6 @@ class TestSaveLoad:
         np.savez_compressed(path, **data)
         with pytest.raises(ArtifactError, match="content hash mismatch"):
             load_artifact(path)
-        # integrity checking is opt-out for trusted stores
-        load_artifact(path, verify_hash=False)
 
     def test_future_schema_version_rejected(self, fitted_pipeline, tmp_path):
         from repro.core.estimator import decode_json, encode_json
@@ -105,143 +101,51 @@ class TestSaveLoad:
         with pytest.raises(ArtifactError, match="schema version"):
             load_artifact(path)
 
+    def test_v1_layout_rejected(self, tmp_path):
+        """The retired flat v1 layout (``meta_json`` + raw arrays)."""
+        meta = json.dumps({"format_version": 1}).encode()
+        np.savez_compressed(
+            tmp_path / "v1.npz",
+            meta_json=np.frombuffer(meta, dtype=np.uint8),
+            scaler_min=np.zeros(3), scaler_max=np.ones(3),
+        )
+        with pytest.raises(ArtifactError, match="not a repro artifact"):
+            load_artifact(tmp_path / "v1.npz")
+
+    def test_malformed_bundle_raises_artifact_error(
+            self, fitted_pipeline, malformation, tmp_path):
+        corrupt, message = malformation
+        pipe, _ = fitted_pipeline
+        path = save_artifact(pipe, tmp_path / "pipe.npz")
+        data = dict(np.load(path, allow_pickle=False))
+        corrupt(data)
+        np.savez_compressed(path, **data)
+        with pytest.raises(ArtifactError, match=message) as err:
+            load_artifact(path)
+        assert str(path) in str(err.value)
+
 
 class TestArtifactStore:
     def test_save_load_list(self, fitted_pipeline, tmp_path):
         pipe, X = fitted_pipeline
         store = ArtifactStore(tmp_path / "store")
-        store.save("adapter", AdapterBundle.from_pipeline(pipe),
-                   provenance={"seed": 0})
+        store.save("separator", pipe.separator_, provenance={"seed": 0})
         store.save("pipeline", pipe)
         expected = pipe.predict_proba(X)
 
         listing = store.list()
-        assert set(listing) == {"adapter", "pipeline"}
-        assert listing["adapter"]["kind"] == "fsgan_adapter"
+        assert set(listing) == {"separator", "pipeline"}
+        assert listing["separator"]["kind"] == "feature_separator"
+        assert listing["separator"]["provenance"] == {"seed": 0}
         assert listing["pipeline"]["kind"] == "fsgan_pipeline"
+        np.testing.assert_array_equal(
+            store.load("separator").estimator.variant_indices_,
+            pipe.separator_.variant_indices_)
         np.testing.assert_array_equal(
             store.load("pipeline").estimator.predict_proba(X), expected)
 
     def test_empty_store_lists_nothing(self, tmp_path):
         assert ArtifactStore(tmp_path / "absent").list() == {}
-
-
-class TestLegacyV1Migration:
-    def _write_v1(self, pipeline, path):
-        """The original ``save_adapter`` layout, byte for byte."""
-        model = pipeline.reconstructor_.model_
-        meta = {
-            "format_version": 1,
-            "fs_config": {
-                "alpha": pipeline.fs_config.alpha,
-                "max_parents": pipeline.fs_config.max_parents,
-                "max_cond_size": pipeline.fs_config.max_cond_size,
-                "min_correlation": pipeline.fs_config.min_correlation,
-            },
-            "reconstruction": {
-                "strategy": pipeline.reconstruction_config.strategy,
-                "noise_dim": model.noise_dim,
-                "hidden_size": model.hidden_size,
-                "conditional": model.conditional,
-                "n_classes": model.n_classes_,
-                "n_invariant": model.n_invariant_,
-                "n_variant": model.n_variant_,
-            },
-            "n_features": pipeline.separator_.n_features_,
-        }
-        arrays = {
-            "meta_json": np.frombuffer(
-                json.dumps(meta).encode(), dtype=np.uint8),
-            "scaler_min": pipeline.scaler_.data_min_,
-            "scaler_max": pipeline.scaler_.data_max_,
-            "variant_indices": pipeline.separator_.variant_indices_,
-            "invariant_indices": pipeline.separator_.invariant_indices_,
-            "p_values": pipeline.separator_.result_.p_values,
-        }
-        for key, value in model.generator_.state_dict().items():
-            arrays[f"generator.{key}"] = value
-        for key, value in model.discriminator_.state_dict().items():
-            arrays[f"discriminator.{key}"] = value
-        np.savez_compressed(path, **arrays)
-
-    def test_v1_file_loads_as_adapter_bundle(self, fitted_pipeline, tmp_path):
-        pipe, X = fitted_pipeline
-        path = tmp_path / "v1.npz"
-        self._write_v1(pipe, path)
-        loaded = load_artifact(path)
-        assert isinstance(loaded.estimator, AdapterBundle)
-        assert loaded.manifest["schema_version"] == 1
-        assert loaded.manifest["migrated"] is True
-        bundle = loaded.estimator
-        np.testing.assert_array_equal(
-            bundle.scaler_.transform(X), pipe.scaler_.transform(X))
-        # generator weights restored exactly (v1 carries no RNG state)
-        g_in = np.random.default_rng(0).standard_normal(
-            (4, pipe.reconstructor_.model_.n_invariant_
-             + pipe.reconstructor_.model_.noise_dim))
-        np.testing.assert_array_equal(
-            bundle.reconstructor_.model_.generator_.forward(
-                g_in, training=False),
-            pipe.reconstructor_.model_.generator_.forward(
-                g_in, training=False))
-
-    def test_v1_grafts_via_load_adapter(self, fitted_pipeline, tiny_5gc,
-                                        tmp_path):
-        pipe, X = fitted_pipeline
-        path = tmp_path / "v1.npz"
-        self._write_v1(pipe, path)
-        host = FSGANPipeline(fast_mlp, random_state=0)
-        host.model_ = pipe.model_  # deployment: model already on the host
-        with pytest.warns(DeprecationWarning):
-            load_adapter(path, host)
-        # v1 carries no RNG state; align the noise streams before comparing
-        host.reconstructor_.model_._rng = np.random.default_rng(123)
-        pipe.reconstructor_.model_._rng = np.random.default_rng(123)
-        np.testing.assert_array_equal(host.transform(X), pipe.transform(X))
-
-
-class TestDeprecatedWrappers:
-    def test_save_load_adapter_still_work(self, fitted_pipeline, tmp_path):
-        pipe, X = fitted_pipeline
-        with pytest.warns(DeprecationWarning):
-            save_adapter(pipe, tmp_path / "adapter.npz")
-        host = FSGANPipeline(fast_mlp, random_state=0)
-        host.model_ = pipe.model_
-        with pytest.warns(DeprecationWarning):
-            load_adapter(tmp_path / "adapter.npz", host)
-        np.testing.assert_array_equal(
-            host.predict_proba(X), pipe.predict_proba(X))
-
-    def test_save_adapter_requires_fitted(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="fitted"):
-                save_adapter(FSGANPipeline(fast_mlp), tmp_path / "a.npz")
-
-    def test_load_adapter_missing_file(self, fitted_pipeline, tmp_path):
-        pipe, _ = fitted_pipeline
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValidationError, match="no adapter file"):
-                load_adapter(tmp_path / "missing.npz", pipe)
-
-    def test_load_adapter_rejects_wrong_width_pipeline(
-            self, fitted_pipeline, blob_data, tmp_path):
-        pipe, _ = fitted_pipeline
-        with pytest.warns(DeprecationWarning):
-            save_adapter(pipe, tmp_path / "adapter.npz")
-        X_train, y_train, _, _ = blob_data  # 4 features vs the 5GC width
-        host = FSGANPipeline(fast_mlp, random_state=0)
-        host.model_ = fast_mlp().fit(X_train, y_train)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ArtifactError, match="features"):
-                load_adapter(tmp_path / "adapter.npz", host)
-
-    def test_load_adapter_rejects_non_adapter_artifact(
-            self, fitted_pipeline, tmp_path):
-        pipe, _ = fitted_pipeline
-        save_artifact(pipe, tmp_path / "pipe.npz")  # full pipeline, not adapter
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ArtifactError):
-                load_adapter(tmp_path / "pipe.npz", pipe)
 
 
 def _score(est, X):

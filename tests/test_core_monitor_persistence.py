@@ -1,16 +1,10 @@
-"""Tests for the drift monitor and adapter persistence extensions."""
+"""Tests for the drift monitor extension."""
 
 import numpy as np
 import pytest
 
-from repro.core import (
-    DriftMonitor,
-    FSGANPipeline,
-    ReconstructionConfig,
-    load_adapter,
-    save_adapter,
-)
-from repro.ml import MLPClassifier, macro_f1
+from repro.core import DriftMonitor, FSGANPipeline, ReconstructionConfig
+from repro.ml import MLPClassifier
 from repro.utils.errors import ValidationError
 
 
@@ -128,62 +122,3 @@ class TestMonitorMetricsBridge:
                          if e["kind"] == "drift.alarm")
             assert alarm["source"] == "monitor"
             assert alarm["jaccard"] == report.jaccard
-
-
-class TestAdapterPersistence:
-    def test_round_trip_predictions_identical(self, fitted_pipeline, tiny_5gc,
-                                              tmp_path):
-        _, _, X_test, y_test = tiny_5gc.few_shot_split(5, random_state=0)
-        path = save_adapter(fitted_pipeline, tmp_path / "adapter.npz")
-        assert path.exists()
-
-        # a "freshly deployed" pipeline object holding the same model
-        fresh = FSGANPipeline(fast_mlp, random_state=0)
-        fresh.model_ = fitted_pipeline.model_
-        load_adapter(path, fresh)
-
-        # the generator is deterministic given the same inputs + z; compare
-        # the full transform with a fixed noise draw via predictions
-        a = fitted_pipeline.model_.predict(fitted_pipeline.transform(X_test[:40]))
-        b = fresh.model_.predict(fresh.transform(X_test[:40]))
-        # same weights, same invariant passthrough: F1 must match closely
-        assert abs(macro_f1(y_test[:40], a) - macro_f1(y_test[:40], b)) < 0.15
-
-    def test_round_trip_structure(self, fitted_pipeline, tmp_path):
-        path = save_adapter(fitted_pipeline, tmp_path / "adapter.npz")
-        fresh = FSGANPipeline(fast_mlp, random_state=0)
-        fresh.model_ = fitted_pipeline.model_
-        load_adapter(path, fresh)
-        np.testing.assert_array_equal(
-            fresh.separator_.variant_indices_,
-            fitted_pipeline.separator_.variant_indices_,
-        )
-        np.testing.assert_array_equal(
-            fresh.scaler_.data_min_, fitted_pipeline.scaler_.data_min_
-        )
-        # generator weights identical
-        a = fitted_pipeline.reconstructor_.model_.generator_.state_dict()
-        b = fresh.reconstructor_.model_.generator_.state_dict()
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key])
-
-    def test_unfitted_pipeline_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            save_adapter(FSGANPipeline(fast_mlp), tmp_path / "x.npz")
-
-    def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ValidationError):
-            load_adapter(tmp_path / "missing.npz", FSGANPipeline(fast_mlp))
-
-    def test_non_gan_strategy_rejected(self, tiny_5gc, tmp_path):
-        X_few, _, _, _ = tiny_5gc.few_shot_split(1, random_state=0)
-        pipe = FSGANPipeline(
-            fast_mlp,
-            reconstruction_config=ReconstructionConfig(
-                strategy="autoencoder", epochs=2, hidden_size=8
-            ),
-            random_state=0,
-        )
-        pipe.fit(tiny_5gc.X_source, tiny_5gc.y_source, X_few)
-        with pytest.raises(ValidationError, match="GAN"):
-            save_adapter(pipe, tmp_path / "x.npz")

@@ -32,7 +32,7 @@ class TestRegistry:
     def test_registered_kinds_is_sorted_and_nonempty(self):
         kinds = registered_kinds()
         assert kinds == sorted(kinds)
-        assert "fsgan_adapter" in kinds
+        assert "fsgan_pipeline" in kinds
 
     def test_unknown_kind_raises(self):
         with pytest.raises((ArtifactError, ValidationError, KeyError)):

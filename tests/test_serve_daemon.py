@@ -330,6 +330,24 @@ class TestSingleSend:
         assert statistics.median(timings) < 0.020, timings
 
 
+class TestMalformedBundle:
+    def test_is_a_typed_400_not_a_500(self, tenant_root, tmp_path,
+                                      malformation):
+        corrupt, message = malformation
+        src, names, X_test = tenant_root
+        bundle = tmp_path / f"{names[0]}.npz"
+        data = dict(np.load(src / bundle.name, allow_pickle=False))
+        corrupt(data)
+        np.savez_compressed(bundle, **data)
+        with ServeDaemon(_config(tmp_path)) as daemon:
+            with pytest.raises(urllib.error.HTTPError) as err:
+                _post(f"{daemon.url}/v1/score/{names[0]}",
+                      {"x": X_test[:2].tolist()})
+        assert err.value.code == 400
+        error = json.loads(err.value.read())["error"]
+        assert message in error and str(bundle) in error
+
+
 class TestLabels:
     def test_labels_come_from_the_plan_that_scored(self, tenant_root,
                                                    tmp_path, monkeypatch):
