@@ -13,9 +13,9 @@ rewritten afterwards; :meth:`promote` and :meth:`rollback` only flip the
 pointer and update the index, so a rollback restores the *identical bytes*
 the previous plan was compiled from — bit-exact by construction.  The
 pointer flip is atomic (temp link + ``os.replace``) and changes the
-pointer's ``(mtime_ns, size)`` stat, which is exactly the trigger the
-serving daemon's :class:`~repro.serve.registry.PlanCache` watches for its
-sha256-validated hot reload: promoting or rolling back a tenant takes
+pointer's ``(inode, mtime_ns, size)`` stat, which is exactly the trigger
+the serving daemon's :class:`~repro.serve.registry.PlanCache` watches for
+its sha256-validated hot reload: promoting or rolling back a tenant takes
 effect on the next request without a daemon restart.
 
 Each version carries a lineage block in its artifact manifest
@@ -46,9 +46,11 @@ from pathlib import Path
 from repro.core.artifacts import (
     LIFECYCLE_STATES,
     LoadedArtifact,
+    _content_hash,
+    _write_packed,
     load_artifact,
-    save_artifact,
 )
+from repro.core.estimator import pack_estimator
 from repro.utils.errors import ArtifactError
 
 __all__ = ["ArtifactLineage", "LineageVersion", "LINEAGE_SCHEMA"]
@@ -226,15 +228,14 @@ class ArtifactLineage:
                 "lifecycle_state": state,
             }
             # the content hash covers array payloads only, so it can name
-            # the file before the bundle (whose manifest repeats it) exists
-            from repro.core.artifacts import _content_hash
-            from repro.core.estimator import pack_estimator
-
-            content_hash = _content_hash(pack_estimator(estimator))
+            # the file before the bundle (whose manifest repeats it) exists;
+            # pack and hash once and hand both to the writer
+            arrays = pack_estimator(estimator)
+            content_hash = _content_hash(arrays)
             file_name = f"{tenant}-gen{generation}-{content_hash[:12]}.npz"
             version_path = self.versions_dir() / file_name
-            save_artifact(
-                estimator, version_path,
+            _write_packed(
+                estimator, arrays, content_hash, version_path,
                 provenance=provenance, monitor=monitor, lineage=lineage,
             )
             version = LineageVersion(

@@ -26,7 +26,15 @@ handful of few-shot target rows.  Two observations make re-runs cheap:
 Both classes serialize to the flat ``{name: ndarray}`` + ``__meta__`` layout
 of the estimator protocol, so the warm state rides inside v2 artifact
 bundles (``allow_pickle=False``) and a daemon-triggered refit can warm-start
-from disk.
+from disk.  The cache is *packed* (layout version 2): per entry family
+(factors, betas, residuals) one int key table (conditioning tuple padded
+with -1, led by the feature ``j`` for betas and residuals) and one layout
+table (dtype index, offset, ndim, shape), plus one concatenated ``data.<i>``
+array per dtype present.  A cache of any size is eight npz members plus one
+per dtype, and no entry is ever cast, so a float64 factor in a float32
+cache round-trips bit-exactly.  A warm state of another layout version is
+not read: :meth:`~repro.core.feature_separation.FeatureSeparator.load_state_dict`
+drops it (the next re-discovery runs cold) instead of failing the load.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ if TYPE_CHECKING:  # circular at runtime: fnode imports this module
     from repro.causal.fnode import FNodeResult
 
 #: bump when the serialized layout changes
-WARM_STATE_VERSION = 1
+WARM_STATE_VERSION = 2
 
 
 def matrix_fingerprint(X) -> str:
@@ -70,6 +78,11 @@ def _encode_meta(obj) -> np.ndarray:
 
 def _decode_meta(arr) -> dict:
     return json.loads(bytes(np.asarray(arr, dtype=np.uint8).tobytes()).decode("utf-8"))
+
+
+def state_version(state: dict):
+    """The layout ``version`` a serialized warm state or cache records."""
+    return _decode_meta(state["__meta__"]).get("version")
 
 
 class CIStatCache:
@@ -179,7 +192,12 @@ class CIStatCache:
     # -- flat serialization (estimator-protocol compatible) -------------------
 
     def state_dict(self, *, include_residuals: bool = False) -> dict[str, np.ndarray]:
-        """Flat ``{name: ndarray}`` + ``__meta__`` snapshot of the cache.
+        """Packed ``{name: ndarray}`` + ``__meta__`` snapshot of the cache.
+
+        Each entry family (``factor``, ``beta``, ``residual``) becomes a
+        key table and a layout table; the entry payloads of every family
+        are concatenated into one flat ``data.<i>`` array per dtype, so
+        the member count does not grow with the number of entries.
 
         Residuals are excluded by default: they are cheap to recompute (one
         matvec) and dominate the byte size, so artifacts stay small while a
@@ -192,24 +210,36 @@ class CIStatCache:
             if include_residuals
             else []
         )
-        meta = {
+        data: dict[str, list[tuple[np.ndarray, int]]] = {}
+        state: dict[str, np.ndarray] = {}
+        _pack_family(
+            state, data, "factor",
+            [(cols, self.factors[cols][0]) for cols in factor_cols],
+        )
+        state["factor.lower"] = np.array(
+            [bool(self.factors[cols][1]) for cols in factor_cols], dtype=bool
+        )
+        _pack_family(
+            state, data, "beta",
+            [((j, *cols), self.betas[cols][j]) for cols, j in beta_keys],
+        )
+        _pack_family(
+            state, data, "residual",
+            [((j, *cols), self.residuals[cols][j]) for cols, j in res_keys],
+        )
+        dtypes = list(data)
+        for i, dtype in enumerate(dtypes):
+            state[f"data.{i}"] = np.concatenate(
+                [flat for flat, _ in data[dtype]], dtype=dtype
+            )
+        state["__meta__"] = _encode_meta({
             "version": WARM_STATE_VERSION,
             "ridge": self.ridge,
             "stats_dtype": self.stats_dtype,
             "source_fingerprint": self.source_fingerprint,
             "invalidations": int(self.invalidations),
-            "factor_cols": [list(c) for c in factor_cols],
-            "factor_lower": [bool(self.factors[c][1]) for c in factor_cols],
-            "beta_keys": [[list(c), int(j)] for c, j in beta_keys],
-            "residual_keys": [[list(c), int(j)] for c, j in res_keys],
-        }
-        state: dict[str, np.ndarray] = {"__meta__": _encode_meta(meta)}
-        for i, cols in enumerate(factor_cols):
-            state[f"factor.{i}"] = np.ascontiguousarray(self.factors[cols][0])
-        for i, (cols, j) in enumerate(beta_keys):
-            state[f"beta.{i}"] = np.ascontiguousarray(self.betas[cols][j])
-        for i, (cols, j) in enumerate(res_keys):
-            state[f"residual.{i}"] = np.ascontiguousarray(self.residuals[cols][j])
+            "dtypes": dtypes,
+        })
         return state
 
     @classmethod
@@ -225,19 +255,72 @@ class CIStatCache:
             source_fingerprint=meta["source_fingerprint"],
         )
         cache.invalidations = int(meta.get("invalidations", 0))
-        for i, (cols, lower) in enumerate(
-            zip(meta["factor_cols"], meta["factor_lower"])
+        data = []
+        for i, dtype in enumerate(meta["dtypes"]):
+            arr = np.asarray(state[f"data.{i}"])
+            if arr.dtype.str != dtype or arr.ndim != 1:
+                raise ValidationError(
+                    f"CIStatCache data.{i} is {arr.dtype.str}{arr.shape}, "
+                    f"expected a flat {dtype} array"
+                )
+            data.append(arr)
+        lower = np.asarray(state["factor.lower"]).tolist()
+        for (cols, arr), flag in zip(
+            _unpack_family(state, data, "factor"), lower, strict=True
         ):
-            cache.factors[tuple(cols)] = (np.array(state[f"factor.{i}"]), bool(lower))
-        for i, (cols, j) in enumerate(meta["beta_keys"]):
-            cache.betas.setdefault(tuple(cols), {})[int(j)] = np.array(
-                state[f"beta.{i}"]
-            )
-        for i, (cols, j) in enumerate(meta.get("residual_keys", [])):
-            cache.residuals.setdefault(tuple(cols), {})[int(j)] = np.array(
-                state[f"residual.{i}"]
-            )
+            cache.factors[cols] = (arr, bool(flag))
+        for (j, *cols), arr in _unpack_family(state, data, "beta"):
+            cache.betas.setdefault(tuple(cols), {})[j] = arr
+        for (j, *cols), arr in _unpack_family(state, data, "residual"):
+            cache.residuals.setdefault(tuple(cols), {})[j] = arr
         return cache
+
+
+def _pack_family(state: dict, data: dict, family: str, entries: list) -> None:
+    """Write one entry family as ``<family>.keys`` + ``<family>.layout``.
+
+    ``entries`` is a list of ``(key, array)`` with ``key`` a tuple of
+    non-negative ints.  ``keys`` holds the key tuples, right-padded with
+    -1; ``layout`` holds one row per entry: index into the meta dtype
+    list, offset into that dtype's ``data.<i>`` array, ndim, then the
+    shape, right-padded with 0.  Payloads are appended to ``data`` (dtype
+    string → list of ``(flat array, end offset)``) without any cast.
+    """
+    width = max((len(key) for key, _ in entries), default=0)
+    max_ndim = max((arr.ndim for _, arr in entries), default=0)
+    keys = np.full((len(entries), width), -1, dtype=np.int64)
+    layout = np.zeros((len(entries), 3 + max_ndim), dtype=np.int64)
+    for row, (key, arr) in enumerate(entries):
+        keys[row, : len(key)] = key
+        chunks = data.setdefault(arr.dtype.str, [])
+        offset = chunks[-1][1] if chunks else 0
+        flat = np.ascontiguousarray(arr).ravel()
+        chunks.append((flat, offset + flat.size))
+        layout[row, :3] = (list(data).index(arr.dtype.str), offset, arr.ndim)
+        layout[row, 3 : 3 + arr.ndim] = arr.shape
+    state[f"{family}.keys"] = keys
+    state[f"{family}.layout"] = layout
+
+
+def _unpack_family(state: dict, data: list, family: str):
+    """Yield ``(key tuple, array)`` for every entry of one family; each
+    array is its own copy, as independent as the one the engine stored."""
+    keys = np.asarray(state[f"{family}.keys"]).tolist()
+    layout = np.asarray(state[f"{family}.layout"]).tolist()
+    if len(keys) != len(layout):
+        raise ValidationError(
+            f"CIStatCache {family} has {len(keys)} keys but "
+            f"{len(layout)} layout rows"
+        )
+    for key, (code, offset, ndim, *dims) in zip(keys, layout):
+        shape = tuple(dims[:ndim])
+        size = int(np.prod(shape, dtype=np.int64))
+        flat = data[code][offset : offset + size]
+        if flat.size != size:
+            raise ValidationError(
+                f"CIStatCache {family} entry {key} overruns its data array"
+            )
+        yield tuple(k for k in key if k >= 0), flat.reshape(shape).copy()
 
 
 @dataclass

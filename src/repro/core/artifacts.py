@@ -1,16 +1,23 @@
 """Versioned artifact store: the single disk format for trained estimators.
 
-An *artifact* is one compressed ``.npz`` bundle (``allow_pickle=False``
-throughout) holding a packed :class:`~repro.core.estimator.Estimator` plus a
-JSON manifest: schema version, estimator kind and constructor params, a
-content hash over every array payload, optional dataset/seed/config
-provenance, optional drift-monitor thresholds, and the estimator's exported
-serve plan.  ``load_artifact`` restores the estimator in a fresh process with
+An *artifact* is one stored (uncompressed) ``.npz`` bundle
+(``allow_pickle=False`` throughout) holding a packed
+:class:`~repro.core.estimator.Estimator` plus a JSON manifest: schema
+version, estimator kind and constructor params, a content hash over every
+array payload, optional dataset/seed/config provenance, optional
+drift-monitor thresholds, and the estimator's exported serve plan.  ``load_artifact`` restores the estimator in a fresh process with
 no live pipeline or training configuration required.
 
 Schema v2 is the only layout: ``load_artifact`` is the one reader and
 ``save_artifact`` the one writer.  A bundle that cannot be decoded or
 restored raises :class:`~repro.utils.errors.ArtifactError` naming its path.
+
+A write and a read cost per npz member more than per byte, so nested state
+packs its many small arrays into a few flat ones: a fitted separator's warm
+state (:mod:`repro.causal.warm`) is a constant number of members whatever
+its cache holds.  A bundle whose warm state has an older layout version
+still loads, with the warm state dropped; the next re-discovery then runs
+cold.
 """
 
 from __future__ import annotations
@@ -135,8 +142,24 @@ def save_artifact(estimator: Estimator, path, *, provenance=None, monitor=None,
     ``.manifest.json`` sidecar is written next to the bundle for tooling
     that wants the metadata without parsing npz.
     """
-    path = Path(path)
     arrays = pack_estimator(estimator)
+    return _write_packed(
+        estimator, arrays, _content_hash(arrays), path,
+        provenance=provenance, monitor=monitor, lineage=lineage,
+    )
+
+
+def _write_packed(estimator: Estimator, arrays: dict, content_hash: str, path,
+                  *, provenance=None, monitor=None, lineage=None) -> Path:
+    """The body of :func:`save_artifact` over already packed arrays.
+
+    ``arrays`` must be ``pack_estimator(estimator)`` and ``content_hash``
+    its :func:`_content_hash`; a caller that needs the hash before the
+    file exists (the lineage names version files by it) packs and hashes
+    once and hands both in.  The bundle is written stored, not deflated:
+    the packed payload is mostly float noise that barely compresses.
+    """
+    path = Path(path)
     header = decode_json(arrays["__estimator__"])
     try:
         plan = estimator.export_plan()
@@ -151,11 +174,10 @@ def save_artifact(estimator: Estimator, path, *, provenance=None, monitor=None,
         "monitor": _monitor_to_jsonable(monitor),
         "lineage": _lineage_to_jsonable(lineage),
         "plan": plan,
-        "content_hash": _content_hash(arrays),
+        "content_hash": content_hash,
     }
-    arrays[_MANIFEST_KEY] = encode_json(manifest)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez_compressed(path, **arrays)
+    np.savez(path, **arrays, **{_MANIFEST_KEY: encode_json(manifest)})
     sidecar = path.with_suffix(path.suffix + ".manifest.json")
     sidecar.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

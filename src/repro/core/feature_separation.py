@@ -12,10 +12,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.causal.fnode import FNodeDiscovery, FNodeResult
-from repro.causal.warm import WarmState
+from repro.causal.warm import WARM_STATE_VERSION, WarmState, state_version
 from repro.core.config import FSConfig
 from repro.core.estimator import Estimator, decode_json, encode_json, register_estimator
 from repro.obs.export import get_event_log
+from repro.obs.logging import get_logger
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_array, check_is_fitted, mark_validated
@@ -100,7 +101,17 @@ class FeatureSeparator(Estimator):
                 for name, arr in state.items()
                 if name.startswith(prefix)
             }
-            self.warm_state_ = WarmState.from_state(warm_state)
+            version = state_version(warm_state)
+            if version == WARM_STATE_VERSION:
+                self.warm_state_ = WarmState.from_state(warm_state)
+            else:
+                # an older layout is only a speed-up lost: drop it and let
+                # the next re-discovery take the cold path
+                get_logger("repro.core.feature_separation").warning(
+                    "dropping a warm state of layout version %r (this build "
+                    "reads version %d): the next re-discovery runs cold",
+                    version, WARM_STATE_VERSION,
+                )
         return self
 
     @classmethod

@@ -16,9 +16,11 @@ Reload semantics:
   disagrees with its manifest — a half-written or tampered hot swap never
   reaches the scoring path.
 - **Hot reload is stat-triggered.**  Each cache hit re-stats the bundle;
-  a changed ``(mtime_ns, size)`` evicts the stale entry and reloads (and
-  re-validates) from disk, so publishing a new artifact version is just an
-  atomic file replace (or a lineage pointer flip).
+  a changed ``(inode, mtime_ns, size)`` evicts the stale entry and reloads
+  (and re-validates) from disk, so publishing a new artifact version is
+  just an atomic file replace (or a lineage pointer flip).  Each hot reload is
+  timed: ``stats()`` reports the last and total reload seconds and the
+  ``daemon.cache_reload_seconds`` histogram observes every one.
 - **The RNG stream survives eviction.**  A compiled plan's noise stream
   starts from the RNG state saved in the artifact and its position (total
   standard-normal values drawn) is tracked on the plan.  When an entry is
@@ -59,6 +61,13 @@ DEFAULT_CAPACITY = 256
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 
+def _signature(stat) -> tuple[int, int, int]:
+    """What a cache hit compares: a replaced or re-pointed bundle is a new
+    inode even when a same-shaped (stored, equal-size) rewrite lands in
+    the same coarse mtime tick."""
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
 @dataclass
 class TenantEntry:
     """One hot tenant: compiled plan + load-time metadata."""
@@ -67,6 +76,7 @@ class TenantEntry:
     path: Path
     plan: object
     manifest: dict
+    inode: int
     mtime_ns: int
     size: int
     loaded_at: float
@@ -128,6 +138,10 @@ class PlanCache:
         self.misses = 0
         self.evictions = 0
         self.reloads = 0
+        #: wall seconds of the latest and of all hot reloads (load_artifact
+        #: with its hash check, plus plan compilation)
+        self.reload_seconds_last = 0.0
+        self.reload_seconds_total = 0.0
         self.rng_fast_forwards = 0
 
     # -- name / path handling ------------------------------------------------
@@ -165,8 +179,8 @@ class PlanCache:
                     del self._entries[tenant]
                     self._publish_gauges(registry)
                     raise ArtifactError(f"no artifact file at {path}") from None
-                if (stat.st_mtime_ns, stat.st_size) == (entry.mtime_ns,
-                                                        entry.size):
+                if _signature(stat) == (entry.inode, entry.mtime_ns,
+                                        entry.size):
                     entry.hits += 1
                     self.hits += 1
                     self._entries.move_to_end(tenant)
@@ -179,11 +193,20 @@ class PlanCache:
                 self.reloads += 1
                 if registry.enabled:
                     registry.counter("daemon.cache_reloads_total").inc()
+                t0 = time.perf_counter()
+                entry = self._load(tenant, path)
+                seconds = time.perf_counter() - t0
+                self.reload_seconds_last = seconds
+                self.reload_seconds_total += seconds
+                if registry.enabled:
+                    registry.histogram("daemon.cache_reload_seconds").observe(
+                        seconds
+                    )
             else:
                 self.misses += 1
                 if registry.enabled:
                     registry.counter("daemon.cache_misses_total").inc()
-            entry = self._load(tenant, path)
+                entry = self._load(tenant, path)
             self._entries[tenant] = entry
             self._entries.move_to_end(tenant)
             while len(self._entries) > self.capacity:
@@ -231,6 +254,7 @@ class PlanCache:
             path=path,
             plan=plan,
             manifest=loaded.manifest,
+            inode=stat.st_ino,
             mtime_ns=stat.st_mtime_ns,
             size=stat.st_size,
             loaded_at=time.time(),
@@ -340,6 +364,8 @@ class PlanCache:
             "misses": self.misses,
             "evictions": self.evictions,
             "reloads": self.reloads,
+            "reload_seconds_last": self.reload_seconds_last,
+            "reload_seconds_total": self.reload_seconds_total,
             "rng_fast_forwards": self.rng_fast_forwards,
             "rng_positions": rng_positions,
             "loaded": loaded,

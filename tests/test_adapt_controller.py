@@ -1,5 +1,7 @@
 """Adaptation loop: shot buffer, shadow policy/evaluator, controller hops."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,95 @@ class TestControllerLifecycle:
         promoted = lineage.promote("t", candidate)
         assert promoted.generation == 1
         assert lineage.active("t").content_hash == candidate
+
+
+def _v1_warm_state_dict(warm, *, include_residuals=False):
+    """The warm-state layout of version 1: one npz member per cache entry
+    and the entry keys as JSON lists in ``__meta__``."""
+    def meta(obj):
+        return np.frombuffer(json.dumps(obj, sort_keys=True).encode(),
+                             dtype=np.uint8)
+
+    priors, cache = warm.priors, warm.cache
+    marginal = priors.marginal_p_values
+    state = {
+        "__meta__": meta({
+            "version": 1,
+            "source_fingerprint": warm.source_fingerprint,
+            "n_features": int(warm.n_features),
+            "params": warm.params,
+            "parent_sets": [list(p) for p in priors.parent_sets],
+            "n_tests": int(priors.n_tests),
+            "coverage": float(priors.coverage),
+            "has_cache": True,
+            "has_marginal": marginal is not None,
+        }),
+        "variant_indices": np.asarray(priors.variant_indices),
+        "invariant_indices": np.asarray(priors.invariant_indices),
+        "p_values": np.asarray(priors.p_values),
+    }
+    if marginal is not None:
+        state["marginal_p_values"] = np.asarray(marginal)
+    factor_cols = sorted(cache.factors)
+    beta_keys = sorted((c, j) for c, per in cache.betas.items() for j in per)
+    state["cache.__meta__"] = meta({
+        "version": 1,
+        "ridge": cache.ridge,
+        "stats_dtype": cache.stats_dtype,
+        "source_fingerprint": cache.source_fingerprint,
+        "invalidations": int(cache.invalidations),
+        "factor_cols": [list(c) for c in factor_cols],
+        "factor_lower": [bool(cache.factors[c][1]) for c in factor_cols],
+        "beta_keys": [[list(c), int(j)] for c, j in beta_keys],
+        "residual_keys": [],
+    })
+    for i, cols in enumerate(factor_cols):
+        state[f"cache.factor.{i}"] = cache.factors[cols][0]
+    for i, (cols, j) in enumerate(beta_keys):
+        state[f"cache.beta.{i}"] = cache.betas[cols][j]
+    return state
+
+
+class TestOlderWarmStateBundle:
+    def test_loads_scores_identically_and_rediscovers_cold(
+            self, tmp_path, monkeypatch):
+        from repro.causal.warm import WarmState
+        from repro.core.artifacts import load_artifact, save_artifact
+
+        src, prior = make_wide_pair(WIDTH, n_target=96, random_state=5)
+        pipeline = _fit_pipeline(src, prior)
+        current = save_artifact(pipeline, tmp_path / "v2.npz")
+        with monkeypatch.context() as patch:
+            patch.setattr(WarmState, "state_dict", _v1_warm_state_dict)
+            older = save_artifact(pipeline, tmp_path / "v1.npz")
+        with np.load(older) as data:
+            assert "separator_.warm.cache.factor.0" in data.files
+
+        loaded = load_artifact(older).estimator
+        assert loaded.separator_.warm_state_ is None
+        reference = load_artifact(current).estimator
+        assert reference.separator_.warm_state_ is not None
+        X = prior[:32]
+        np.testing.assert_array_equal(loaded.predict_proba(X),
+                                      reference.predict_proba(X))
+
+        # a restored pipeline has no training cache; hand it the one the
+        # fitted pipeline kept so the controller can run a hop on it
+        loaded._cached_source = pipeline._fit_cache
+        loaded._cache_released = False
+        pool_rows = 24 * BATCH_ROWS
+        pre_pool, post_pool = make_wide_pair(
+            WIDTH, n_source=pool_rows, n_target=pool_rows, random_state=7
+        )
+        with AdaptationController(
+            loaded, ArtifactLineage(tmp_path / "store"), "t", _adapt_config()
+        ) as controller:
+            for batch in _batches(pre_pool, n=4) + _batches(post_pool):
+                if controller.observe(batch) == "PROMOTED":
+                    break
+            assert controller.state == "PROMOTED"
+            assert controller.timings["rediscover_warm"] is False
+        assert loaded.separator_.warm_state_ is not None
 
 
 class TestScenarioDriver:

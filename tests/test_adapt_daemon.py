@@ -156,6 +156,24 @@ class TestDaemonShadowLifecycle:
             assert "no candidate" in json.loads(err.value.read())["error"]
 
 
+    def test_hot_reload_after_promote_is_timed(self, seeded_lineage,
+                                               two_generations):
+        _, _, X = two_generations
+        with ServeDaemon(_config(seeded_lineage, port=0)) as daemon:
+            daemon.score("tenant", X[:8])  # first load: a miss
+            assert daemon.stats()["cache"]["reload_seconds_total"] == 0.0
+            daemon.promote("tenant")
+            daemon.score("tenant", X[:8])  # pointer flipped: a hot reload
+            cache = daemon.stats()["cache"]
+            with urllib.request.urlopen(daemon.url + "/metrics",
+                                        timeout=10) as resp:
+                body = resp.read()
+        assert cache["reloads"] == 1
+        assert cache["reload_seconds_last"] > 0
+        assert cache["reload_seconds_total"] == cache["reload_seconds_last"]
+        assert b"daemon_cache_reload_seconds_count 1\n" in body
+
+
 class TestControllerDrivesDaemon:
     def test_full_loop_through_daemon_without_restart(self, tmp_path):
         """Drift -> detect -> warm rediscover -> refit -> daemon shadow ->

@@ -1,12 +1,16 @@
 """Warm-start incremental re-discovery tests (ISSUE 9).
 
-Covers the persistent CI-statistics cache (:class:`CIStatCache`), the
-serialized :class:`WarmState`, :meth:`FNodeDiscovery.rediscover` in both
+Covers the persistent CI-statistics cache (:class:`CIStatCache`) and its
+packed serialized layout (bit-exact round trips, a member count that does
+not grow with the entries), the serialized :class:`WarmState`, :meth:`FNodeDiscovery.rediscover` in both
 ``exact`` and ``confirm`` modes against the cold baseline across every
 fan-out path, the guard-mismatch cold fallbacks, the ``fs.cache.*`` metric
 export, the intra-level wall-clock deadline fix, the deduplicated
 :func:`ks_pvalue` tails, and the ``--warm`` benchmark runner + oracle.
 """
+
+import io
+import json
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from repro.causal import (
 )
 from repro.causal.ci_tests import KS_PVALUE_MODES, ks_pvalue
 from repro.causal.engine import DEADLINE_CHUNK, CIEngine
+from repro.causal.warm import state_version
 from repro.core.config import FSConfig
 from repro.core.feature_separation import FeatureSeparator
 from repro.experiments.bench import check_fs_record, make_wide_pair, run_bench_warm
@@ -151,6 +156,110 @@ class TestCIStatCache:
         cache = CIStatCache(ridge=1e-3, stats_dtype="float64")
         with pytest.raises(ValidationError):
             CIEngine(Xs, Xt, multi_rhs=True, stat_cache=cache)
+
+
+def _npz_roundtrip(state: dict) -> dict:
+    """Write ``state`` through a real npz file and read it back."""
+    buf = io.BytesIO()
+    np.savez(buf, **state)
+    buf.seek(0)
+    with np.load(buf, allow_pickle=False) as data:
+        return {name: data[name] for name in data.files}
+
+
+def _assert_same_entries(back: dict, orig: dict) -> None:
+    assert sorted(back) == sorted(orig)
+    for key, arr in orig.items():
+        got = back[key]
+        assert got.dtype == arr.dtype, key
+        assert got.shape == arr.shape, key
+        assert got.tobytes() == np.ascontiguousarray(arr).tobytes(), key
+
+
+def _by_cols_and_j(entries: dict) -> dict:
+    return {(cols, j): arr for cols, per in entries.items()
+            for j, arr in per.items()}
+
+
+class TestPackedLayout:
+    def _mixed_cache(self, rng) -> CIStatCache:
+        cache = CIStatCache(ridge=2e-3, stats_dtype="float32",
+                            source_fingerprint="mixed")
+        cache.invalidations = 5
+        # key lengths 0, 1 and 3; float32 entries next to the float64
+        # fallback factors the engine writes when a float32 Gram matrix
+        # loses positive-definiteness
+        for cols, dtype in (((), np.float32), ((4,), np.float64),
+                            ((0, 2, 9), np.float32)):
+            k = len(cols) + 1
+            factor = np.asfortranarray(rng.standard_normal((k, k)).astype(dtype))
+            cache.put_factor(cols, (factor, len(cols) % 2 == 0))
+            for j in (1, 11):
+                cache.put_beta(cols, j, rng.standard_normal(k).astype(dtype))
+                cache.put_residual(cols, j, rng.standard_normal(17))
+        return cache
+
+    def test_mixed_keys_and_dtypes_roundtrip_bit_exactly(self, rng):
+        cache = self._mixed_cache(rng)
+        state = cache.state_dict(include_residuals=True)
+        assert len(json.loads(state["__meta__"].tobytes())["dtypes"]) == 2
+        back = CIStatCache.from_state(_npz_roundtrip(state))
+        assert back.matches(ridge=2e-3, stats_dtype="float32",
+                            source_fingerprint="mixed")
+        assert back.invalidations == 5
+        assert {c: f[1] for c, f in back.factors.items()} == {
+            c: f[1] for c, f in cache.factors.items()}
+        _assert_same_entries({c: f[0] for c, f in back.factors.items()},
+                             {c: f[0] for c, f in cache.factors.items()})
+        for family in ("betas", "residuals"):
+            _assert_same_entries(_by_cols_and_j(getattr(back, family)),
+                                 _by_cols_and_j(getattr(cache, family)))
+        # the packed bytes are a pure function of the cache contents
+        again = back.state_dict(include_residuals=True)
+        assert sorted(again) == sorted(state)
+        for name in state:
+            assert again[name].tobytes() == state[name].tobytes(), name
+
+    def test_residuals_are_opt_in(self, rng):
+        cache = self._mixed_cache(rng)
+        lean = CIStatCache.from_state(_npz_roundtrip(cache.state_dict()))
+        assert lean.residuals == {}
+        assert lean.n_entries == cache.n_entries - 6
+
+    def test_empty_cache_roundtrips(self):
+        cache = CIStatCache(ridge=1e-3, stats_dtype="float64",
+                            source_fingerprint=None)
+        state = cache.state_dict(include_residuals=True)
+        assert not any(name.startswith("data.") for name in state)
+        back = CIStatCache.from_state(_npz_roundtrip(state))
+        assert back.n_entries == 0
+        assert back.source_fingerprint is None
+        assert sorted(back.state_dict()) == sorted(state)
+
+    def test_member_count_does_not_grow_with_entries(self, pair):
+        small_s, small_t = make_wide_pair(8, n_source=120, n_target=48,
+                                          random_state=4)
+        small = FeatureSeparator().fit(small_s, small_t)
+        Xs, Xt = pair
+        large = FeatureSeparator().fit(Xs, Xt)
+        n_small = small.warm_state_.cache.n_entries
+        n_large = large.warm_state_.cache.n_entries
+        assert n_large > 4 * n_small > 0
+
+        def warm_members(sep):
+            return [n for n in sep.state_dict() if n.startswith("warm.")]
+
+        assert len(warm_members(small)) == len(warm_members(large)) < 20
+
+    def test_older_layout_version_is_refused(self, rng):
+        state = self._mixed_cache(rng).state_dict()
+        meta = json.loads(state["__meta__"].tobytes())
+        meta["version"] = 1
+        state["__meta__"] = np.frombuffer(json.dumps(meta).encode(),
+                                          dtype=np.uint8)
+        assert state_version(state) == 1
+        with pytest.raises(ValidationError, match="version 1"):
+            CIStatCache.from_state(state)
 
 
 class TestRediscover:

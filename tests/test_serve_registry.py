@@ -1,5 +1,6 @@
 """PlanCache: LRU bounds, sha256-validated hot reload, name hygiene."""
 
+import os
 import shutil
 
 import numpy as np
@@ -81,6 +82,25 @@ class TestHotReload:
         assert cache.reloads == 1
         assert second.content_hash != first.content_hash
         assert second.plan is not first.plan
+
+    def test_pointer_flip_between_equal_size_bundles_reloads(
+            self, tenant_root, tmp_path):
+        root, names, _ = _copy_root(tenant_root, tmp_path)
+        old, new = root / f"{names[1]}.npz", root / f"{names[2]}.npz"
+        # stored bundles of same-shaped tenants are byte-for-byte the same
+        # size; give both the same mtime, as one coarse clock tick would
+        assert old.stat().st_size == new.stat().st_size
+        stat = old.stat()
+        os.utime(new, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        pointer = root / "flip.npz"
+        os.symlink(old.name, pointer)
+        cache = PlanCache(root, capacity=8)
+        first = cache.get("flip")
+        os.symlink(new.name, root / ".flip.tmp")
+        os.replace(root / ".flip.tmp", pointer)
+        second = cache.get("flip")
+        assert cache.reloads == 1
+        assert second.content_hash != first.content_hash
 
     def test_unchanged_file_is_not_reloaded(self, tenant_root):
         root, names, _ = tenant_root
