@@ -286,10 +286,11 @@ class AdaptationController:
             # was *before* this refit: snapshot its compiled plan now
             self._incumbent_plan = pipeline.compile(n_draws=self.config.n_draws)
         old_variant = set(int(j) for j in pipeline.separator_.variant_indices_)
-        warm = pipeline.separator_.warm_state_
         t0 = time.perf_counter()
         pipeline.rediscover_fs(shots)
         rediscover_seconds = time.perf_counter() - t0
+        # a guard may reject the incumbent's warm state and run cold
+        warm = pipeline.separator_.cache_stats_["mode"] == "exact"
         new_variant = set(int(j) for j in pipeline.separator_.variant_indices_)
         self.variant_diff = {
             "added": sorted(new_variant - old_variant),
@@ -297,7 +298,7 @@ class AdaptationController:
             "kept": sorted(old_variant & new_variant),
         }
         self.timings["rediscover_seconds"] = rediscover_seconds
-        self.timings["rediscover_warm"] = warm is not None
+        self.timings["rediscover_warm"] = warm
 
         self._set_state(
             "REFITTING",
@@ -316,7 +317,7 @@ class AdaptationController:
                     "alarm_batch": self.alarm_batch,
                     "alarm_source": (self.alarm_fields or {}).get("source"),
                     "shots": int(shots.shape[0]),
-                    "warm": warm is not None,
+                    "warm": warm,
                     "variant_added": self.variant_diff["added"],
                     "variant_removed": self.variant_diff["removed"],
                 }

@@ -334,31 +334,6 @@ class CIEngine:
                 self._marginal = ps
         return self._marginal
 
-    def marginal_pvalues_for(self, idx) -> np.ndarray:
-        """Marginal ``X ⊥ F`` p-values for a subset of columns.
-
-        Column-for-column identical to the corresponding entries of
-        :meth:`marginal_pvalues` (the batched statistics are column-
-        independent); used by warm re-discovery to re-test only the features
-        whose prior marginal p-value sits near the decision threshold.
-        """
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.size == 0:
-            return np.empty(0)
-        if self.Xs.shape[0] < 3 or self.Xt.shape[0] < 2:
-            return np.ones(idx.size)
-        ps = combined_invariance_pvalues(
-            self.Xs[:, idx], self.Xt[:, idx], ks_exact=not self._verifies
-        )
-        if self._verifies:
-            near = self._borderline(ps)
-            if near.size:
-                sel = idx[near]
-                ps[near] = combined_invariance_pvalues(
-                    self.Xs64[:, sel], self.Xt64[:, sel]
-                )
-        return ps
-
     # -- conditional tests ---------------------------------------------------
 
     def _design(self, cols: tuple[int, ...]):

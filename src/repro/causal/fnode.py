@@ -62,9 +62,6 @@ F_NODE = "F"
 #: traces small on 442-feature data, fine enough to localize the cost
 CI_BATCH_SIZE = 32
 
-#: warm re-discovery modes (see :meth:`FNodeDiscovery.rediscover`)
-WARM_MODES = ("exact", "confirm")
-
 
 @dataclass
 class FNodeResult:
@@ -87,9 +84,9 @@ class FNodeResult:
     marginal_p_values:
         Per-feature *pre-search* marginal (size-0) p-values.  ``p_values``
         holds each feature's best p over all tested subsets, so the raw
-        marginals are kept separately — warm re-discovery uses them to
-        decide which marginal tests are worth re-running.  ``None`` on
-        results produced before warm-start support (older artifacts).
+        marginals are kept separately (they persist with the warm state).
+        ``None`` on results produced before warm-start support (older
+        artifacts).
     """
 
     variant_indices: np.ndarray
@@ -259,17 +256,9 @@ class FNodeDiscovery:
         A cold run still accumulates a :class:`~repro.causal.warm.WarmState`
         (exposed as :attr:`warm_state_`) so the *next* run can warm-start.
         """
-        return self._discover(X_source, X_target, None, None, 0.0)
+        return self._discover(X_source, X_target, None)
 
-    def rediscover(
-        self,
-        X_source,
-        X_target,
-        warm: WarmState,
-        *,
-        mode: str = "exact",
-        recheck_band: float = 0.1,
-    ) -> FNodeResult:
+    def rediscover(self, X_source, X_target, warm: WarmState) -> FNodeResult:
         """Warm-start re-discovery after new few-shot target rows arrived.
 
         Composes the persistent CI-statistics cache with prior-guided
@@ -280,42 +269,22 @@ class FNodeDiscovery:
         (and counts the dropped cache entries as invalidations), so
         ``rediscover`` never returns worse results than ``discover``.
 
-        ``mode`` selects the reuse level (see EXPERIMENTS.md for the
-        equivalence policy):
-
-        - ``"exact"`` (default, provably variant-set-identical to cold):
-          reuse the byte-for-byte-valid source-side cache entries,
-          confirmation-test each feature's previous separating set first
-          (with the full enumeration as fallback — the pruning contract),
-          and order the remaining searches by the previous run's
-          closest-to-clearing scores.  The marginal sweep is re-run in
-          full.
-        - ``"confirm"`` (confirmation-tested): additionally reuse prior
-          *marginal* p-values for features whose prior marginal sits above
-          ``recheck_band`` (re-testing only the near-threshold ones), and
-          short-circuit previously-variant features after one confirmation
-          test on their prior closest-to-clearing subset when both the
-          current marginal and the confirmation p-value stay below
-          ``alpha/2``; borderline features fall back to the full search.
-          Decisions are not formally guaranteed but are empirically
-          validated (``repro bench --warm`` asserts variant-set equality
-          with cold discovery on every path).  Requires the warm state to
-          come from a run with identical discovery parameters; degrades to
-          ``"exact"`` otherwise.  Budgeted runs also degrade to ``"exact"``
-          (the budget countdown must account every conditional test).
+        The variant set is always identical to a cold run's: the marginal
+        sweep is re-run in full, the byte-for-byte-valid source-side cache
+        entries are reused, each feature's previous separating set is
+        tested first (with the full enumeration as fallback — the pruning
+        contract), and the searches are ordered by the previous run's
+        closest-to-clearing scores.  ``cache_stats_["mode"]`` reports
+        ``"exact"`` for a warm run and ``"cold"`` for a fallback.
         """
-        if mode not in WARM_MODES:
-            raise ValidationError(
-                f"rediscover mode must be one of {WARM_MODES}, got {mode!r}"
-            )
         if warm is None:
             raise ValidationError(
                 "rediscover requires a WarmState; use discover() for cold runs"
             )
-        return self._discover(X_source, X_target, warm, mode, float(recheck_band))
+        return self._discover(X_source, X_target, warm)
 
     def _params_key(self) -> dict:
-        """Discovery parameters that warm ``confirm`` mode must match."""
+        """Discovery parameters recorded in the warm state (provenance)."""
         return {
             "alpha": float(self.alpha),
             "max_parents": int(self.max_parents),
@@ -327,10 +296,10 @@ class FNodeDiscovery:
             "prune_exact": bool(self.prune_exact),
         }
 
-    def _resolve_warm(self, warm, mode, d, src_fp):
+    def _resolve_warm(self, warm, d, src_fp):
         """Gate the warm state behind its validity guards.
 
-        Returns ``(priors, stat_cache, invalidated, effective_mode)``.
+        Returns ``(priors, stat_cache, invalidated)``.
         ``priors`` is ``None`` (cold fallback) unless the warm state
         describes this exact source matrix and feature count; the cache is
         dropped — its entries counted as invalidated — unless its (ridge,
@@ -359,25 +328,13 @@ class FNodeDiscovery:
                 and warm.source_fingerprint == src_fp
             ):
                 priors = p
-        if priors is None:
-            mode = None
-        elif mode == "confirm":
-            marg = priors.marginal_p_values
-            budgeted = self.budget is not None or self.budget_seconds is not None
-            if (
-                budgeted
-                or marg is None
-                or len(marg) != d
-                or warm.params != self._params_key()
-            ):
-                mode = "exact"  # decisions can't be trusted; guards still hold
         if cache is None and not self.multi_rhs:
             cache = CIStatCache(
                 ridge=self.ridge,
                 stats_dtype=self.stats_dtype,
                 source_fingerprint=src_fp,
             )
-        return priors, cache, invalidated, mode
+        return priors, cache, invalidated
 
     def _prior_set(
         self, priors: FNodeResult, j: int, pool: tuple[int, ...]
@@ -398,33 +355,7 @@ class FNodeDiscovery:
             return None
         return prior
 
-    def _confirm_variant(self, engine, j, marginal_p, prior_set):
-        """One-test confirmation of a previously-variant feature (confirm mode).
-
-        A feature stays variant without re-enumerating its subsets when its
-        current marginal p-value *and* one confirmation test on its prior
-        closest-to-clearing subset both sit below ``alpha / 2`` — twice the
-        evidence margin the decision needs.  Returns a search-result row, or
-        ``None`` when the feature is borderline and must take the full
-        search path.
-        """
-        thresh = 0.5 * self.alpha
-        if marginal_p >= thresh:
-            return None
-        if not prior_set:
-            # the prior search never found a subset better than the (deep
-            # below threshold) marginal; nothing worth re-testing
-            return (j, marginal_p, (), 0, [], True)
-        t0 = time.perf_counter()
-        p = float(engine.conditional_pvalues(j, [prior_set])[0])
-        seconds = time.perf_counter() - t0
-        if p >= thresh:
-            return None
-        best_p = max(marginal_p, p)
-        separating = prior_set if p > marginal_p else ()
-        return (j, best_p, separating, 1, [(len(prior_set), p, seconds)], True)
-
-    def _discover(self, X_source, X_target, warm, mode, recheck_band) -> FNodeResult:
+    def _discover(self, X_source, X_target, warm) -> FNodeResult:
         X_source = check_array(X_source, name="X_source", min_samples=4)
         X_target = check_array(X_target, name="X_target", min_samples=2)
         if X_source.shape[1] != X_target.shape[1]:
@@ -441,9 +372,8 @@ class FNodeDiscovery:
             corr = np.array([[1.0]])
         self.warm_state_ = None
         src_fp = matrix_fingerprint(X_source)
-        priors, stat_cache, invalidated, mode = self._resolve_warm(
-            warm, mode, d, src_fp
-        )
+        priors, stat_cache, invalidated = self._resolve_warm(warm, d, src_fp)
+        mode = "cold" if priors is None else "exact"
         engine = CIEngine(
             X_source,
             X_target,
@@ -461,54 +391,26 @@ class FNodeDiscovery:
         # marginal sweep, then chunks of conditional subset searches) so a
         # trace shows where the dominant (§VI-D) discovery cost goes
         with tracer.span(
-            "fs.discover", n_features=d, n_jobs=self.n_jobs, warm=mode or "cold"
+            "fs.discover", n_features=d, n_jobs=self.n_jobs, warm=mode
         ) as fs_span:
             t0 = time.perf_counter()
-            if mode == "confirm":
-                # partial marginal sweep: re-test only features whose prior
-                # marginal p sits near the threshold; reuse the rest
-                band = max(recheck_band, self.alpha)
-                prior_marg = np.asarray(priors.marginal_p_values, dtype=np.float64)
-                p_values = prior_marg.copy()
-                recheck = np.nonzero(prior_marg < band)[0]
-                with tracer.span(
-                    "fs.ci_batch", feature_start=0, feature_stop=d, stage="marginal"
-                ) as marginal_span:
-                    if recheck.size:
-                        p_values[recheck] = engine.marginal_pvalues_for(recheck)
-                    marginal_span.tag(
-                        n_tests=int(recheck.size), reused=int(d - recheck.size)
-                    )
-                n_marginal = int(recheck.size)
-                if registry.enabled and recheck.size:
-                    per_test = (time.perf_counter() - t0) / recheck.size
-                    for p in p_values[recheck]:
-                        _observe_ci_test(registry, "invariance", 0, float(p), per_test)
-            else:
-                with tracer.span(
-                    "fs.ci_batch", feature_start=0, feature_stop=d, stage="marginal"
-                ) as marginal_span:
-                    p_values = engine.marginal_pvalues().copy()
-                    marginal_span.tag(n_tests=d)
-                n_marginal = d
-                if registry.enabled:
-                    per_test = (time.perf_counter() - t0) / max(d, 1)
-                    for p in p_values:
-                        _observe_ci_test(registry, "invariance", 0, float(p), per_test)
-            n_tests = n_marginal
+            with tracer.span(
+                "fs.ci_batch", feature_start=0, feature_stop=d, stage="marginal"
+            ) as marginal_span:
+                p_values = engine.marginal_pvalues().copy()
+                marginal_span.tag(n_tests=d)
+            if registry.enabled:
+                per_test = (time.perf_counter() - t0) / max(d, 1)
+                for p in p_values:
+                    _observe_ci_test(registry, "invariance", 0, float(p), per_test)
+            n_tests = d
             marginal = p_values.copy()
             parent_sets: list[tuple[int, ...]] = [() for _ in range(d)]
-            prior_variant = (
-                set(int(i) for i in priors.variant_indices)
-                if priors is not None
-                else set()
-            )
 
             # only features failing the marginal test enter the subset search;
             # each task is (j, primary candidates, fallback candidates, p,
             # prior separating set or None)
             tasks = []
-            confirm_rows = []
             if self.max_parents > 0 and self.max_cond_size > 0:
                 for j in np.nonzero(p_values < self.alpha)[0]:
                     j = int(j)
@@ -520,13 +422,6 @@ class FNodeDiscovery:
                     if priors is not None:
                         effective = extra if extra is not None else primary
                         prior_set = self._prior_set(priors, j, effective)
-                    if mode == "confirm" and j in prior_variant:
-                        row = self._confirm_variant(
-                            engine, j, float(p_values[j]), prior_set
-                        )
-                        if row is not None:
-                            confirm_rows.append(row)
-                            continue
                     tasks.append((j, primary, extra, float(p_values[j]), prior_set))
             if budgeted:
                 # closest-to-clearing first: a deterministic order in which
@@ -540,19 +435,14 @@ class FNodeDiscovery:
                 # scheduling and cache locality)
                 prior_p = np.asarray(priors.p_values, dtype=np.float64)
                 tasks.sort(key=lambda t: (-float(prior_p[t[0]]), t[0]))
-            searched, _search_cov = self._search(engine, tasks, tracer)
-            for j, best_p, separating, n_cond, log, _completed in (
-                confirm_rows + searched
-            ):
+            searched, coverage = self._search(engine, tasks, tracer)
+            for j, best_p, separating, n_cond, log, _completed in searched:
                 p_values[j] = best_p
                 parent_sets[j] = separating
                 n_tests += n_cond
                 if registry.enabled:
                     for cond_size, p, seconds in log:
                         _observe_ci_test(registry, "invariance", cond_size, p, seconds)
-            n_units = len(tasks) + len(confirm_rows)
-            n_done = len(confirm_rows) + sum(1 for row in searched if row[5])
-            coverage = 1.0 if n_units == 0 else n_done / n_units
             fs_span.tag(
                 n_tests=n_tests,
                 warm_hits=engine.cache_stats["warm_hits"],
@@ -596,7 +486,7 @@ class FNodeDiscovery:
             **{k: int(v) for k, v in engine.cache_stats.items()},
             "warm_invalidated": int(invalidated),
             "warmed": warm is not None,
-            "mode": mode if warm is not None else "cold",
+            "mode": mode,
         }
         return result
 

@@ -19,9 +19,11 @@ handful of few-shot target rows.  Two observations make re-runs cheap:
 2. **The previous run's decisions are strong priors.**  :class:`WarmState`
    couples the cache with the previous :class:`~repro.causal.fnode.FNodeResult`
    (including the pre-search marginal p-values) so
-   :meth:`~repro.causal.fnode.FNodeDiscovery.rediscover` can confirmation-test
-   old separating sets first and order the remaining search by the previous
-   run's closest-to-clearing scores.
+   :meth:`~repro.causal.fnode.FNodeDiscovery.rediscover` can test old
+   separating sets first and order the remaining search by the previous
+   run's closest-to-clearing scores.  Neither shortcut changes a decision:
+   the marginal sweep is always re-run, so the variant set equals a cold
+   run's.
 
 Both classes serialize to the flat ``{name: ndarray}`` + ``__meta__`` layout
 of the estimator protocol, so the warm state rides inside v2 artifact
@@ -342,9 +344,9 @@ class WarmState:
     n_features:
         Feature count the priors describe.
     params:
-        The discovery parameters of the producing run.  ``exact`` mode
-        tolerates mismatches (its per-feature guards keep it provable);
-        ``confirm`` mode requires an exact match before trusting decisions.
+        The discovery parameters of the producing run (provenance).
+        Re-discovery tolerates mismatches: its per-feature guards keep
+        every decision equal to a cold run's.
     """
 
     priors: FNodeResult

@@ -13,7 +13,7 @@ Usage::
     python -m repro bench --suite serve --sustained --tenants 3 --rate 300
     python -m repro bench --suite fs --warm --widths 442 --n-jobs -1
     python -m repro rediscover --artifact pipe.npz --source src.npy \\
-        --target pooled_target.npy --mode confirm --out pipe_updated.npz
+        --target pooled_target.npy --out pipe_updated.npz
     python -m repro rediscover --artifact pipe.npz --source src.npy \\
         --target pooled_target.npy --json   # exit 3 = variant set changed
     python -m repro adapt run --width 442 --schedule abrupt --out BENCH_adapt.json
@@ -214,9 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True, metavar="PATH",
                    help="pooled few-shot target matrix (previous shots + new "
                    "rows): .npy, .npz (array 'X') or .csv")
-    p.add_argument("--mode", choices=("exact", "confirm"), default="exact",
-                   help="warm policy: exact = provably identical variant "
-                   "sets (default), confirm = confirmation-tested fast path")
     p.add_argument("--out", metavar="PATH", default=None,
                    help="write the artifact with the refreshed separator and "
                    "warm state here (the reconstructor/GAN is NOT refit)")
@@ -493,8 +490,9 @@ def _dispatch(args, preset) -> int:
         if scaler is not None:
             Xs, Xt = scaler.transform(Xs), scaler.transform(Xt)
         refreshed = FeatureSeparator(
-            replace(sep.config, n_jobs=args.n_jobs, warm_mode=args.mode)
+            replace(sep.config, n_jobs=args.n_jobs, warm_mode="exact")
         ).fit(Xs, Xt, warm=sep.warm_state_)
+        mode = refreshed.cache_stats_["mode"]
         old = set(int(j) for j in sep.result_.variant_indices)
         new = set(int(j) for j in refreshed.result_.variant_indices)
         res = refreshed.result_
@@ -503,7 +501,7 @@ def _dispatch(args, preset) -> int:
         changed = bool(added or removed)
         if args.json:
             print(json.dumps({
-                "mode": args.mode,
+                "mode": mode,
                 "n_variant": int(res.n_variant),
                 "n_tests": int(res.n_tests),
                 "coverage": float(res.coverage),
@@ -515,7 +513,7 @@ def _dispatch(args, preset) -> int:
             }, indent=2, sort_keys=True))
         else:
             print(
-                f"warm ({args.mode}) re-discovery: {res.n_variant} variant "
+                f"{mode} re-discovery: {res.n_variant} variant "
                 f"features ({res.n_tests} CI tests, coverage {res.coverage:.2f})"
             )
             print(f"  newly variant:   {added if added else '(none)'}")

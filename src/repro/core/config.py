@@ -41,12 +41,10 @@ class FSConfig:
 
     ``warm_mode`` controls how a refit uses the previous run's
     :class:`~repro.causal.warm.WarmState` (persistent CI-statistics cache +
-    decision priors): ``"exact"`` (default) reuses state under provable
-    variant-set-identity guards, ``"confirm"`` additionally short-circuits
-    stable decisions after one confirmation test (empirically validated,
-    fastest), ``"off"`` always runs cold.  Cold fits are unaffected; the
-    mode only applies when a warm state is available (e.g.
-    ``FSGANPipeline.refit_adapter``).
+    decision priors): ``"exact"`` (default) reuses it under guards that
+    keep the variant set identical to a cold run's, ``"off"`` always runs
+    cold.  Cold fits are unaffected; the mode only applies when a warm
+    state is available (e.g. ``FSGANPipeline.refit_adapter``).
     """
 
     alpha: float = 0.01
@@ -86,10 +84,9 @@ class FSConfig:
             raise ConfigurationError(
                 f"stats_dtype must be 'float64' or 'float32', got {self.stats_dtype!r}"
             )
-        if self.warm_mode not in ("off", "exact", "confirm"):
+        if self.warm_mode not in ("off", "exact"):
             raise ConfigurationError(
-                f"warm_mode must be 'off', 'exact' or 'confirm', "
-                f"got {self.warm_mode!r}"
+                f"warm_mode must be 'off' or 'exact', got {self.warm_mode!r}"
             )
 
 

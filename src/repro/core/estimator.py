@@ -128,7 +128,11 @@ def param_from_jsonable(value):
         name = value["__dataclass__"]
         if name not in _PARAM_DATACLASSES:
             raise ArtifactError(f"unknown config dataclass {name!r} in artifact params")
-        return _PARAM_DATACLASSES[name](**value["fields"])
+        fields = value["fields"]
+        if name == "FSConfig" and fields.get("warm_mode") == "confirm":
+            # the removed inexact warm mode; older bundles re-discover exactly
+            fields = {**fields, "warm_mode": "exact"}
+        return _PARAM_DATACLASSES[name](**fields)
     if isinstance(value, list):
         return [param_from_jsonable(v) for v in value]
     return value

@@ -140,11 +140,12 @@ class FeatureSeparator(Estimator):
 
         ``warm`` optionally supplies a previous run's
         :class:`~repro.causal.warm.WarmState` (typically another separator's
-        :attr:`warm_state_`): discovery then re-runs warm under
-        ``config.warm_mode`` instead of cold, falling back to cold on any
-        guard mismatch.  Either way, the freshly accumulated warm state is
-        captured on :attr:`warm_state_` for the *next* refit and persisted
-        with the estimator state.
+        :attr:`warm_state_`): unless ``config.warm_mode`` is ``"off"``,
+        discovery then re-runs warm — with the same variant set as a cold
+        run — falling back to cold on any guard mismatch
+        (``cache_stats_["mode"]`` says which ran).  Either way, the freshly
+        accumulated warm state is captured on :attr:`warm_state_` for the
+        *next* refit and persisted with the estimator state.
         """
         # validate here, mark, and the discovery's own check_array is free
         X_source = mark_validated(
@@ -166,22 +167,21 @@ class FeatureSeparator(Estimator):
             stats_dtype=self.config.stats_dtype,
             use_shared_memory=self.config.use_shared_memory,
         )
-        warm_mode = getattr(self.config, "warm_mode", "exact")
-        use_warm = warm is not None and warm_mode != "off"
         with get_tracer().span(
             "fs.fit",
             n_source=X_source.shape[0],
             n_target=X_target.shape[0],
             n_features=X_source.shape[1],
-            warm=warm_mode if use_warm else "cold",
         ) as span:
-            if use_warm:
-                self.result_ = discovery.rediscover(
-                    X_source, X_target, warm, mode=warm_mode
-                )
+            if warm is not None and self.config.warm_mode != "off":
+                self.result_ = discovery.rediscover(X_source, X_target, warm)
             else:
                 self.result_ = discovery.discover(X_source, X_target)
-            span.tag(n_variant=self.result_.n_variant, n_tests=self.result_.n_tests)
+            span.tag(
+                n_variant=self.result_.n_variant,
+                n_tests=self.result_.n_tests,
+                warm=discovery.cache_stats_["mode"],
+            )
         self.warm_state_ = discovery.warm_state_
         self.cache_stats_ = discovery.cache_stats_
         self.n_features_ = X_source.shape[1]

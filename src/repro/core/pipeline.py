@@ -189,11 +189,10 @@ class FSGANPipeline(Estimator):
 
         FS re-runs **warm** when the incumbent separator carries a
         :class:`~repro.causal.warm.WarmState` (persistent CI-statistics
-        cache + decision priors, also restored from v2 artifacts): under
-        ``fs_config.warm_mode`` the re-discovery reuses the source-side
-        regression state and confirmation-tests the previous decisions
-        instead of paying full cold cost, falling back to cold on any guard
-        mismatch.  Set ``warm_mode="off"`` to force cold refits.
+        cache + decision priors, also restored from v2 artifacts): the
+        re-discovery reuses the source-side regression state and tests each
+        feature's previous separating set first, with the same variant set
+        as a cold run, falling back to cold on any guard mismatch.  Set ``warm_mode="off"`` to force cold refits.
         """
         warm = getattr(getattr(self, "separator_", None), "warm_state_", None)
         with get_tracer().span("pipeline.refit_adapter", warm=warm is not None):

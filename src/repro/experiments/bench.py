@@ -410,7 +410,6 @@ def run_bench_warm(
     *,
     n_jobs: int = -1,
     fs_rounds: int = 2,
-    warm_mode: str = "confirm",
     prune_k: int = 3,
     max_parents: int = 6,
     max_cond_size: int = 3,
@@ -428,16 +427,15 @@ def run_bench_warm(
     :class:`~repro.causal.warm.WarmState` (decision priors + the persistent
     CI-statistics cache), then new few-shot rows arrive and discovery
     re-runs on ``n_target`` rows.  **before** is a cold :meth:`discover` on
-    the updated pool; **after** is :meth:`rediscover` from the prior state
-    under ``warm_mode``.  Both sides run the identical engine configuration
-    (pruning, dtype, fan-out), so the ratio isolates exactly what warm
-    start buys.
+    the updated pool; **after** is :meth:`rediscover` from the prior state.
+    Both sides run the identical engine configuration (pruning, dtype,
+    fan-out), so the ratio isolates exactly what warm start buys.
 
     Every record also carries untimed equivalence evidence against the cold
-    variant set: ``exact``/``confirm`` modes, serial / process-pool /
-    shared-memory fan-outs, and a save→load artifact roundtrip of the warm
-    state (the daemon-triggered warm-refit path); ``equivalent`` is the
-    conjunction.  With ``out``, records merge under
+    variant set: the timed warm run (``warm_equal``), serial / process-pool
+    / shared-memory fan-outs, and a save→load artifact roundtrip of the
+    warm state (the daemon-triggered warm-refit path); ``equivalent`` is
+    the conjunction.  With ``out``, records merge under
     ``warm/<width>/seed<seed>``.
     """
     from repro.core.artifacts import load_artifact, save_artifact
@@ -478,9 +476,7 @@ def run_bench_warm(
 
         before_seconds = after_seconds = float("inf")
         cold = after = None
-        with tracer.span(
-            "bench.fs_warm", width=int(width), rounds=fs_rounds, mode=warm_mode
-        ):
+        with tracer.span("bench.fs_warm", width=int(width), rounds=fs_rounds):
             for _ in range(fs_rounds):
                 cold_disc = FNodeDiscovery(n_jobs=n_jobs, **engine_kwargs)
                 with Stopwatch() as sw:
@@ -489,7 +485,7 @@ def run_bench_warm(
                 warm_disc = FNodeDiscovery(n_jobs=n_jobs, **engine_kwargs)
                 warm_in = _clone_warm(warm0)
                 with Stopwatch() as sw:
-                    after = warm_disc.rediscover(Xs, Xt, warm_in, mode=warm_mode)
+                    after = warm_disc.rediscover(Xs, Xt, warm_in)
                 after_seconds = min(after_seconds, sw.seconds)
 
         def variant_equal(result) -> bool:
@@ -497,11 +493,9 @@ def run_bench_warm(
                 np.array_equal(cold.variant_indices, result.variant_indices)
             )
 
-        # untimed equivalence evidence: both modes, every fan-out path
-        checks = {}
-        checks["confirm_equal"] = variant_equal(after)
+        # untimed equivalence evidence: every fan-out path
+        checks = {"warm_equal": variant_equal(after)}
         for name, kwargs in (
-            ("exact_equal", {"n_jobs": 1, "mode": "exact"}),
             ("serial_equal", {"n_jobs": 1}),
             ("pool_equal", {"n_jobs": 2, "use_shared_memory": False}),
             ("shm_equal", {"n_jobs": 2, "use_shared_memory": True}),
@@ -511,9 +505,7 @@ def run_bench_warm(
                 "use_shared_memory", opts["use_shared_memory"]
             )
             disc = FNodeDiscovery(n_jobs=kwargs["n_jobs"], **opts)
-            res = disc.rediscover(
-                Xs, Xt, _clone_warm(warm0), mode=kwargs.get("mode", warm_mode)
-            )
+            res = disc.rediscover(Xs, Xt, _clone_warm(warm0))
             checks[name] = variant_equal(res)
 
         # artifact roundtrip: the warm state must survive the v2 bundle and
@@ -526,7 +518,6 @@ def run_bench_warm(
                 max_cond_size=max_cond_size,
                 min_correlation=min_correlation,
                 stats_dtype=stats_dtype,
-                warm_mode=warm_mode,
             )
         ).fit(Xs, Xt_prior)
         with tempfile.TemporaryDirectory() as tmp:
@@ -534,7 +525,7 @@ def run_bench_warm(
             save_artifact(sep, path)
             restored = load_artifact(path).estimator
         rt_disc = FNodeDiscovery(n_jobs=1, **engine_kwargs)
-        rt = rt_disc.rediscover(Xs, Xt, restored.warm_state_, mode=warm_mode)
+        rt = rt_disc.rediscover(Xs, Xt, restored.warm_state_)
         checks["roundtrip_equal"] = variant_equal(rt)
 
         equivalent = bool(
@@ -577,9 +568,7 @@ def run_bench_warm(
                 "max_cond_size": int(max_cond_size),
                 "min_correlation": float(min_correlation),
                 "before_mode": f"cold+prune_k={prune_k}+{stats_dtype}",
-                "after_mode": (
-                    f"warm-{warm_mode}+prune_k={prune_k}+{stats_dtype}"
-                ),
+                "after_mode": f"warm-exact+prune_k={prune_k}+{stats_dtype}",
                 "coverage": float(after.coverage),
                 "n_cache_entries": (
                     int(warm0.cache.n_entries) if warm0.cache is not None else 0
@@ -645,8 +634,8 @@ def check_fs_record(record: dict) -> list[str]:
     than the reference means pruning is not pruning.  Warm records
     (``after_mode`` contains ``warm``) must do strictly no more work than
     the cold side and must carry every equivalence check
-    :func:`run_bench_warm` records (per-mode, per-fan-out-path and the
-    artifact roundtrip) as ``True``.
+    :func:`run_bench_warm` records (the timed warm run, per-fan-out-path
+    and the artifact roundtrip) as ``True``.
     """
     problems = []
     for side in ("before", "after"):
@@ -669,8 +658,7 @@ def check_fs_record(record: dict) -> list[str]:
                 f"{after_tests} > {before_tests}"
             )
         for key in (
-            "confirm_equal",
-            "exact_equal",
+            "warm_equal",
             "serial_equal",
             "pool_equal",
             "shm_equal",

@@ -223,7 +223,8 @@ def bench_key(record: dict | BenchRecord) -> str:
 def write_bench_record(
     record: dict | BenchRecord, path: str, *, schema: str
 ) -> None:
-    """Merge ``record`` into the JSON file at ``path`` (created if absent).
+    """Merge ``record`` into the JSON file at ``path`` (created if absent,
+    with its directory).
 
     ``schema`` tags the file; an existing file with a different schema is
     rewritten from scratch rather than mixed (each suite owns its file).
@@ -240,6 +241,7 @@ def write_bench_record(
         except (ValueError, OSError):
             pass  # unreadable file: rewrite from scratch
     doc["records"][bench_key(record)] = record
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -159,7 +159,6 @@ def _scenario_pipeline(n_jobs: int, epochs: int, random_state: int):
             prune_exact=True,
             stats_dtype="float32",
             use_shared_memory=True,
-            warm_mode="confirm",
             n_jobs=n_jobs,
         ),
         reconstruction_config=ReconstructionConfig(
@@ -389,7 +388,7 @@ def run_bench_adapt(
             },
             after={
                 "rediscover_seconds": scenario["rediscover_warm_seconds"],
-                "mode": "confirm",
+                "mode": scenario["warm_cache_stats"]["mode"],
             },
             speedup=scenario["warm_speedup"],
             equivalent=bool(
@@ -469,6 +468,8 @@ def check_adapt_record(record: dict) -> list[str]:
             )
     if record.get("before", {}).get("mode") != "cold":
         problems.append("before.mode must be 'cold'")
+    if record.get("after", {}).get("mode") != "exact":
+        problems.append("after.mode must be 'exact' (a warm re-discovery ran)")
     latency = record.get("detection_latency_batches")
     if not isinstance(latency, int) or latency < 0:
         problems.append(

@@ -24,7 +24,7 @@ def rediscover_setup(tmp_path_factory):
     _, tgt_drifted = make_wide_pair(
         16, n_source=8, n_target=96, drift=1.2, random_state=4
     )
-    sep = FeatureSeparator(FSConfig(warm_mode="confirm")).fit(src, tgt_same)
+    sep = FeatureSeparator(FSConfig()).fit(src, tgt_same)
     artifact = root / "sep.npz"
     save_artifact(sep, artifact)
     np.save(root / "src.npy", src)
@@ -46,6 +46,7 @@ class TestRediscoverJson:
         assert doc["changed"] is False
         assert doc["added"] == [] and doc["removed"] == []
         assert doc["warm_cache"]["warmed"] is True
+        assert doc["mode"] == doc["warm_cache"]["mode"] == "exact"
 
     def test_changed_variant_set_exits_three(self, rediscover_setup, capsys):
         root, artifact = rediscover_setup
@@ -61,6 +62,19 @@ class TestRediscoverJson:
         assert doc["added"]  # the drifted parents became variant
         assert doc["n_variant"] == len(doc["added"]) + len(doc["kept"])
         assert set(doc["warm_cache"]) >= {"warm_hits", "warm_misses", "mode"}
+
+    def test_changed_source_reports_cold(self, rediscover_setup, capsys):
+        root, artifact = rediscover_setup
+        np.save(root / "src_moved.npy", np.load(root / "src.npy") + 0.01)
+        code = main([
+            "rediscover", "--artifact", str(artifact),
+            "--source", str(root / "src_moved.npy"),
+            "--target", str(root / "tgt_same.npy"), "--json",
+        ])
+        assert code in (0, 3)
+        doc = json.loads(capsys.readouterr().out)
+        # the warm state's source guard rejected it: what ran was cold
+        assert doc["mode"] == doc["warm_cache"]["mode"] == "cold"
 
     def test_human_report_still_default(self, rediscover_setup, capsys):
         root, artifact = rediscover_setup

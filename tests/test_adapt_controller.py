@@ -421,6 +421,13 @@ class TestScenarioDriver:
         assert result["variant_equivalent"] is True
         assert result["lineage_history"] == [(0, "retired"), (1, "active")]
 
+    def test_warm_variant_set_equals_cold_at_width_111_seed_7(self):
+        # reusing prior marginals far above alpha dropped feature 110 here
+        result = run_adapt_scenario(111, random_state=7)
+        assert result["rediscover_warm"] is True
+        assert result["warm_cache_stats"]["mode"] == "exact"
+        assert result["variant_equivalent"] is True
+
     def test_gradual_schedule_shapes(self):
         from repro.experiments.drift_schedule import make_drift_schedule
 

@@ -13,6 +13,7 @@ from repro.experiments.bench_registry import (
     check_record_shape,
     get_suite,
     suite_for_schema,
+    write_bench_record,
     _resolve,
 )
 
@@ -46,6 +47,12 @@ class TestRegistry:
         for suite in SUITES.values():
             assert suite_for_schema(suite.schema) is suite
         assert suite_for_schema("other/v9") is None
+
+    def test_write_creates_the_output_directory(self, tmp_path):
+        path = tmp_path / "fresh" / "BENCH_serve.json"
+        write_bench_record(_record(), str(path), schema="repro.bench.serve/v1")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc["records"]) == ["5gc/smoke/seed0"]
 
 
 class TestSharedShape:
@@ -156,6 +163,10 @@ class TestOtherOracles:
         assert any("precedes onset" in p for p in suite.check_record(record))
         record = dict(sound, before=dict(sound["before"], mode="confirm"))
         assert any("cold" in p for p in suite.check_record(record))
+        # the warm side must be the one (exact) re-discovery, not a fallback
+        for mode in ("confirm", "cold"):
+            record = dict(sound, after=dict(sound["after"], mode=mode))
+            assert any("after.mode" in p for p in suite.check_record(record))
         record = dict(sound, detection_latency_batches=-2)
         assert any(
             "detection_latency" in p for p in suite.check_record(record)

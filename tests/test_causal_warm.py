@@ -2,8 +2,8 @@
 
 Covers the persistent CI-statistics cache (:class:`CIStatCache`) and its
 packed serialized layout (bit-exact round trips, a member count that does
-not grow with the entries), the serialized :class:`WarmState`, :meth:`FNodeDiscovery.rediscover` in both
-``exact`` and ``confirm`` modes against the cold baseline across every
+not grow with the entries), the serialized :class:`WarmState`,
+:meth:`FNodeDiscovery.rediscover` against the cold baseline across every
 fan-out path, the guard-mismatch cold fallbacks, the ``fs.cache.*`` metric
 export, the intra-level wall-clock deadline fix, the deduplicated
 :func:`ks_pvalue` tails, and the ``--warm`` benchmark runner + oracle.
@@ -265,34 +265,18 @@ class TestPackedLayout:
 class TestRediscover:
     def test_exact_mode_matches_cold(self, warm_setup):
         Xs, Xt, warm, cold = warm_setup
-        res = FNodeDiscovery().rediscover(Xs, Xt, clone_warm(warm), mode="exact")
+        disc = FNodeDiscovery()
+        res = disc.rediscover(Xs, Xt, clone_warm(warm))
         np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
         assert res.coverage == 1.0
-
-    def test_confirm_mode_matches_cold_with_fewer_tests(self, warm_setup):
-        Xs, Xt, warm, cold = warm_setup
-        res = FNodeDiscovery().rediscover(
-            Xs, Xt, clone_warm(warm), mode="confirm")
-        np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
-        assert res.n_tests < cold.n_tests
+        assert disc.cache_stats_["mode"] == "exact"
 
     @pytest.mark.parametrize("shm", [False, True])
     def test_parallel_paths_match_cold(self, warm_setup, shm):
         Xs, Xt, warm, cold = warm_setup
         res = FNodeDiscovery(n_jobs=2, use_shared_memory=shm).rediscover(
-            Xs, Xt, clone_warm(warm), mode="confirm")
+            Xs, Xt, clone_warm(warm))
         np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
-
-    def test_identical_rerun_short_circuits(self, warm_setup):
-        Xs, Xt, _, cold = warm_setup
-        prior = FNodeDiscovery()
-        prior.discover(Xs, Xt)
-        res = FNodeDiscovery().rediscover(
-            Xs, Xt, prior.warm_state_, mode="confirm")
-        np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
-        # nothing drifted: only the near-threshold marginals and one
-        # confirmation test per variant feature re-run
-        assert res.n_tests < cold.n_tests / 2
 
     def test_changed_source_falls_back_cold_and_invalidates(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
@@ -300,30 +284,33 @@ class TestRediscover:
         assert warm.cache.n_entries > 0
         Xs2 = Xs + 0.01  # same shape, different bytes
         cold2 = FNodeDiscovery().discover(Xs2, Xt)
-        res = FNodeDiscovery().rediscover(Xs2, Xt, warm, mode="confirm")
+        disc = FNodeDiscovery()
+        res = disc.rediscover(Xs2, Xt, warm)
+        assert disc.cache_stats_["mode"] == "cold"
         np.testing.assert_array_equal(res.variant_indices, cold2.variant_indices)
         np.testing.assert_array_equal(res.p_values, cold2.p_values)
         assert res.n_tests == cold2.n_tests  # full cold work was re-done
         assert warm.cache.n_entries == 0
         assert warm.cache.invalidations > 0
 
-    def test_param_mismatch_degrades_confirm_to_exact(self, warm_setup):
+    def test_param_mismatch_matches_cold(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
         disc = FNodeDiscovery(alpha=0.05)  # differs from the producing run
         cold = FNodeDiscovery(alpha=0.05).discover(Xs, Xt)
-        res = disc.rediscover(Xs, Xt, clone_warm(warm), mode="confirm")
+        res = disc.rediscover(Xs, Xt, clone_warm(warm))
         np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
+        assert disc.cache_stats_["mode"] == "exact"
 
-    def test_budgeted_run_degrades_confirm_and_reports_coverage(self, warm_setup):
+    def test_budgeted_run_reports_coverage(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
         disc = FNodeDiscovery(budget=2)
-        res = disc.rediscover(Xs, Xt, clone_warm(warm), mode="confirm")
+        res = disc.rediscover(Xs, Xt, clone_warm(warm))
         assert 0.0 <= res.coverage < 1.0
 
     def test_warm_state_accumulates_on_every_run(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
         disc = FNodeDiscovery()
-        res = disc.rediscover(Xs, Xt, clone_warm(warm), mode="exact")
+        res = disc.rediscover(Xs, Xt, clone_warm(warm))
         state = disc.warm_state_
         assert state is not None
         assert state.priors is res
@@ -334,8 +321,8 @@ class TestRediscover:
 
     def test_mode_and_warm_validation(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
-        with pytest.raises(ValidationError):
-            FNodeDiscovery().rediscover(Xs, Xt, clone_warm(warm), mode="fast")
+        with pytest.raises(TypeError):  # one warm mode: nothing to select
+            FNodeDiscovery().rediscover(Xs, Xt, clone_warm(warm), mode="exact")
         with pytest.raises(ValidationError):
             FNodeDiscovery().rediscover(Xs, Xt, None)
 
@@ -353,7 +340,7 @@ class TestWarmMetrics:
         registry = MetricsRegistry()
         previous = set_metrics(registry)
         try:
-            FNodeDiscovery().rediscover(Xs, Xt, clone_warm(warm), mode="exact")
+            FNodeDiscovery().rediscover(Xs, Xt, clone_warm(warm))
         finally:
             set_metrics(previous)
         names = registry.names()
@@ -369,8 +356,7 @@ class TestWarmMetrics:
         registry = MetricsRegistry()
         previous = set_metrics(registry)
         try:
-            FNodeDiscovery().rediscover(
-                Xs + 0.5, Xt, clone_warm(warm), mode="exact")
+            FNodeDiscovery().rediscover(Xs + 0.5, Xt, clone_warm(warm))
         finally:
             set_metrics(previous)
         dropped = registry.counter("fs.cache.invalidated_total", cache="warm")
@@ -426,6 +412,10 @@ class TestSeparatorWarmMode:
         with pytest.raises(ConfigurationError):
             FSConfig(warm_mode="fastest")
 
+    def test_removed_confirm_mode_rejected(self):
+        with pytest.raises(ConfigurationError, match="'off' or 'exact'"):
+            FSConfig(warm_mode="confirm")
+
     def test_off_mode_runs_cold_but_still_captures_state(self, warm_setup):
         Xs, Xt, warm, cold = warm_setup
         sep = FeatureSeparator(FSConfig(warm_mode="off"))
@@ -437,11 +427,12 @@ class TestSeparatorWarmMode:
 
     def test_fit_with_warm_matches_cold(self, warm_setup):
         Xs, Xt, warm, cold = warm_setup
-        sep = FeatureSeparator(FSConfig(warm_mode="confirm"))
+        sep = FeatureSeparator(FSConfig())
         sep.fit(Xs, Xt, warm=clone_warm(warm))
         np.testing.assert_array_equal(
             sep.result_.variant_indices, cold.variant_indices)
-        assert sep.result_.n_tests < cold.n_tests
+        assert sep.cache_stats_["mode"] == "exact"
+        assert sep.cache_stats_["warm_hits"] > 0
 
 
 class TestBenchWarm:
@@ -462,9 +453,10 @@ class TestBenchWarm:
         assert check_fs_record(record) == []
 
     def test_oracle_flags_tampered_records(self, record):
-        bad = dict(record)
-        bad["serial_equal"] = False
-        assert any("serial_equal" in p for p in check_fs_record(bad))
+        for key in ("warm_equal", "serial_equal"):
+            bad = dict(record)
+            bad[key] = False
+            assert any(key in p for p in check_fs_record(bad))
         bad = dict(record)
         bad["after"] = dict(record["after"],
                             n_ci_tests=record["before"]["n_ci_tests"] + 1)

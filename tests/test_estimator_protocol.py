@@ -148,7 +148,7 @@ class TestStateRoundTrips:
         from repro.experiments.bench import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
-        sep = FeatureSeparator(FSConfig(warm_mode="confirm")).fit(Xs, Xt[:56])
+        sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])
         assert sep.warm_state_ is not None
         clone = _roundtrip(sep)
         res, cres = sep.result_, clone.result_
@@ -162,11 +162,36 @@ class TestStateRoundTrips:
         assert warm is not None
         assert warm.source_fingerprint == sep.warm_state_.source_fingerprint
         cold = FeatureSeparator(FSConfig()).fit(Xs, Xt)
-        refit = FeatureSeparator(FSConfig(warm_mode="confirm")).fit(
-            Xs, Xt, warm=warm)
+        refit = FeatureSeparator(FSConfig()).fit(Xs, Xt, warm=warm)
         np.testing.assert_array_equal(
             refit.result_.variant_indices, cold.result_.variant_indices)
-        assert refit.result_.n_tests < cold.result_.n_tests
+        assert refit.cache_stats_["warm_hits"] > 0
+
+    def test_persisted_confirm_mode_loads_as_exact(self, tmp_path):
+        from repro.core.artifacts import load_artifact, save_artifact
+        from repro.core.config import FSConfig
+        from repro.core.feature_separation import FeatureSeparator
+        from repro.experiments.bench import make_wide_pair
+
+        Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
+        sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])
+        # bundles written while the inexact "confirm" mode existed
+        object.__setattr__(sep.config, "warm_mode", "confirm")
+        path = tmp_path / "sep.npz"
+        save_artifact(sep, path)
+        loaded = load_artifact(path).estimator
+        assert loaded.config.warm_mode == "exact"
+        warm = loaded.warm_state_
+        assert warm is not None
+        saved, restored = sep.warm_state_.state_dict(), warm.state_dict()
+        assert sorted(restored) == sorted(saved)
+        for name, array in saved.items():
+            np.testing.assert_array_equal(restored[name], array)
+        cold = FeatureSeparator(FSConfig()).fit(Xs, Xt)
+        refit = FeatureSeparator(loaded.config).fit(Xs, Xt, warm=warm)
+        assert refit.cache_stats_["mode"] == "exact"
+        np.testing.assert_array_equal(
+            refit.result_.variant_indices, cold.result_.variant_indices)
 
     def test_budgeted_coverage_survives_roundtrip(self, rng):
         from repro.core.config import FSConfig
@@ -192,7 +217,7 @@ class TestStateRoundTrips:
         from repro.experiments.bench import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
-        sep = FeatureSeparator(FSConfig(warm_mode="confirm")).fit(Xs, Xt[:56])
+        sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])
         path = tmp_path / "sep.npz"
         save_artifact(sep, path)
         np.savez(tmp_path / "data.npz", Xs=Xs, Xt=Xt)
@@ -207,7 +232,7 @@ class TestStateRoundTrips:
             data = np.load(sys.argv[2])
             sep = load_artifact(sys.argv[1]).estimator
             assert sep.warm_state_ is not None
-            refit = FeatureSeparator(FSConfig(warm_mode="confirm")).fit(
+            refit = FeatureSeparator(FSConfig()).fit(
                 data["Xs"], data["Xt"], warm=sep.warm_state_)
             print(",".join(map(str, refit.result_.variant_indices.tolist())))
         """)
