@@ -20,6 +20,7 @@ from repro.causal import (
     pc_algorithm,
     regression_invariance_test,
 )
+from repro.core import FSConfig
 
 NAMES = ["load", "pkts_in", "pkts_out", "cpu", "mem"]
 
@@ -55,7 +56,7 @@ def main() -> None:
 
     print("\n2) marginal tests vs the F-node subset search")
     print(f"   {'feature':>9} {'marginal p':>12} {'flagged by FS?':>15}")
-    fs = FNodeDiscovery(alpha=0.01).discover(X_source, X_target)
+    fs = FNodeDiscovery(FSConfig(alpha=0.01)).discover(X_source, X_target)
     for j, name in enumerate(NAMES):
         p_marginal = regression_invariance_test(X_source[:, j], X_target[:, j])
         flagged = "VARIANT" if j in fs.variant_indices else "invariant"

@@ -11,14 +11,11 @@ performance layer behind :class:`repro.causal.FNodeDiscovery`:
 - :meth:`CIEngine.conditional_pvalues` serves the conditional tests with a
   per-conditioning-tuple cache of design matrices and Cholesky factors and
   a per-``(tuple, feature)`` ridge solve: each beta is one ``cho_solve``
-  over a single right-hand side, so the per-tuple cost no longer scales
-  with the total feature count (the PR-2 multi-RHS solve computed betas
-  for *all* features per tuple — ``O(n·d)`` waste per subset at the
-  442-feature width; the frozen ``multi_rhs=True`` mode keeps that exact
-  computation as a benchmark baseline).
+  over a single right-hand side, so the per-tuple cost does not scale with
+  the total feature count.
 - ``stats_dtype="float32"`` runs the whole statistics path — design
   matrices, Cholesky factors, residuals, batched test statistics — in
-  float32, then re-verifies every p-value within ``verify_margin`` of the
+  float32, then re-verifies every p-value within ``alpha / 2`` of the
   decision threshold in float64, so variant *decisions* match the float64
   path (see EXPERIMENTS.md for the policy).
 - :meth:`CIEngine.search_feature` supports candidate-pool pruning (a
@@ -27,7 +24,7 @@ performance layer behind :class:`repro.causal.FNodeDiscovery`:
   :class:`repro.causal.FNodeDiscovery`) and anytime budgets (test-count
   and wall-clock) with sequential-equivalent test accounting.
 - :func:`search_chunk_worker` is the process-pool entry point used by
-  ``FNodeDiscovery(n_jobs=...)``; workers attach the matrices zero-copy
+  ``FSConfig(n_jobs=...)``; workers attach the matrices zero-copy
   from shared memory (:mod:`repro.causal.shm`) or, as a fallback, receive
   them pickled once per worker — either way each worker builds its own
   engine over the same matrices, so serial and parallel runs are
@@ -53,6 +50,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from repro.causal.ci_tests import ks_pvalue
 from repro.utils.errors import ValidationError
 
+#: ridge strength of every conditional regression (matches
+#: :func:`repro.causal.ci_tests.regression_invariance_test`)
 DEFAULT_RIDGE = 1e-3
 
 #: supported statistics dtypes (FSConfig.stats_dtype)
@@ -205,16 +204,10 @@ class CIEngine:
     stats_dtype:
         ``"float64"`` (exact) or ``"float32"``: run the statistics path in
         single precision.  With ``verify_alpha`` set, any p-value within
-        ``verify_margin`` of it is recomputed in float64 and substituted, so
-        threshold decisions match the float64 path.
-    verify_alpha / verify_margin:
-        Decision threshold and verification band for the float32 path.
-        ``verify_margin`` defaults to ``verify_alpha / 2``.
-    multi_rhs:
-        Frozen PR-2 solve mode: one multi-RHS ``cho_solve`` per conditioning
-        tuple, computing betas for **all** features at once.  Kept as the
-        benchmark baseline (its per-tuple cost scales with the feature
-        count); float64 only.
+        ``verify_alpha / 2`` of it is recomputed in float64 and substituted,
+        so threshold decisions match the float64 path.
+    verify_alpha:
+        Decision threshold the float32 path verifies around.
     stat_cache:
         Optional :class:`repro.causal.warm.CIStatCache` used as a
         read-through/write-through store for the source-side regression
@@ -230,11 +223,8 @@ class CIEngine:
         X_source,
         X_target,
         *,
-        ridge: float = DEFAULT_RIDGE,
         stats_dtype: str = "float64",
         verify_alpha: float | None = None,
-        verify_margin: float | None = None,
-        multi_rhs: bool = False,
         stat_cache=None,
     ) -> None:
         self.Xs64 = np.ascontiguousarray(X_source, dtype=np.float64)
@@ -247,27 +237,15 @@ class CIEngine:
             raise ValidationError(
                 f"stats_dtype must be one of {STATS_DTYPES}, got {stats_dtype!r}"
             )
-        if multi_rhs and stats_dtype != "float64":
-            raise ValidationError("multi_rhs mode supports float64 only")
-        if multi_rhs and stat_cache is not None:
-            raise ValidationError(
-                "multi_rhs is the frozen benchmark baseline and does not "
-                "support a warm stat_cache"
-            )
-        self.ridge = float(ridge)
         self.stats_dtype = np.dtype(stats_dtype)
-        self.multi_rhs = bool(multi_rhs)
         if self.stats_dtype == np.float64:
             self.Xs, self.Xt = self.Xs64, self.Xt64
         else:
             self.Xs = self.Xs64.astype(self.stats_dtype)
             self.Xt = self.Xt64.astype(self.stats_dtype)
         self.verify_alpha = None if verify_alpha is None else float(verify_alpha)
-        if verify_margin is None:
-            verify_margin = (self.verify_alpha or 0.0) / 2.0
-        self.verify_margin = float(verify_margin)
         self._verify_engine: CIEngine | None = None
-        # cols -> (Zs, Zt, factor) in single-RHS mode, (Zs, Zt, B) in multi
+        # cols -> (Zs, Zt, Cholesky factor of the ridge Gram matrix)
         self._designs: dict[tuple[int, ...], tuple] = {}
         self._betas: dict[tuple[int, ...], dict[int, np.ndarray]] = {}
         self._marginal: np.ndarray | None = None
@@ -301,21 +279,20 @@ class CIEngine:
     def _verifier(self) -> "CIEngine":
         """Lazy float64 companion engine over the same (shared) matrices."""
         if self._verify_engine is None:
-            self._verify_engine = CIEngine(
-                self.Xs64, self.Xt64, ridge=self.ridge, stats_dtype="float64"
-            )
+            self._verify_engine = CIEngine(self.Xs64, self.Xt64)
         return self._verify_engine
 
     def _borderline(self, ps: np.ndarray) -> np.ndarray:
         """Indices whose p-value sits within the verification band."""
-        return np.nonzero(np.abs(ps - self.verify_alpha) <= self.verify_margin)[0]
+        margin = self.verify_alpha / 2.0
+        return np.nonzero(np.abs(ps - self.verify_alpha) <= margin)[0]
 
     # -- marginal sweep ------------------------------------------------------
 
     def marginal_pvalues(self) -> np.ndarray:
         """``X ⊥ F`` p-value for every feature in one batched sweep (cached).
 
-        On the float32 path, borderline features (within ``verify_margin``
+        On the float32 path, borderline features (within ``verify_alpha / 2``
         of ``verify_alpha``) are recomputed from the float64 masters.
         """
         if self._marginal is None:
@@ -337,12 +314,10 @@ class CIEngine:
     # -- conditional tests ---------------------------------------------------
 
     def _design(self, cols: tuple[int, ...]):
-        """Cached design matrices for a conditioning tuple.
+        """Cached ``(Zs, Zt, factor)`` for a conditioning tuple.
 
-        Single-RHS mode caches ``(Zs, Zt, factor)`` — the Cholesky factor of
-        the ridge Gram matrix, with betas solved per feature on demand.
-        ``multi_rhs`` mode reproduces the PR-2 entry ``(Zs, Zt, B)`` where
-        ``B`` solves the ridge system for all features at once.
+        ``factor`` is the Cholesky factor of the ridge Gram matrix; betas
+        are solved per feature on demand.
         """
         entry = self._designs.get(cols)
         if entry is not None:
@@ -357,40 +332,31 @@ class CIEngine:
         Zt = np.column_stack(
             [np.ones(self.Xt.shape[0], dtype=dt), self.Xt[:, idx]]
         )
-        if self.multi_rhs:
-            A = Zs.T @ Zs + np.asarray(self.ridge, dtype=dt) * np.eye(
+        factor = None
+        if self.stat_cache is not None:
+            factor = self.stat_cache.get_factor(cols)
+            key = "warm_hits" if factor is not None else "warm_misses"
+            self.cache_stats[key] += 1
+        if factor is None:
+            A = Zs.T @ Zs + np.asarray(DEFAULT_RIDGE, dtype=dt) * np.eye(
                 Zs.shape[1], dtype=dt
             )
-            B = cho_solve(cho_factor(A), Zs.T @ self.Xs)
-            entry = (Zs, Zt, B)
-        else:
-            factor = None
+            try:
+                factor = cho_factor(A)
+            except LinAlgError:
+                # float32 Gram matrices can lose positive-definiteness to
+                # roundoff; fall back to a float64 factor for this tuple
+                # (cho_solve upcasts the solve accordingly)
+                factor = cho_factor(A.astype(np.float64))
             if self.stat_cache is not None:
-                factor = self.stat_cache.get_factor(cols)
-                key = "warm_hits" if factor is not None else "warm_misses"
-                self.cache_stats[key] += 1
-            if factor is None:
-                A = Zs.T @ Zs + np.asarray(self.ridge, dtype=dt) * np.eye(
-                    Zs.shape[1], dtype=dt
-                )
-                try:
-                    factor = cho_factor(A)
-                except LinAlgError:
-                    # float32 Gram matrices can lose positive-definiteness
-                    # to roundoff; fall back to a float64 factor for this
-                    # tuple (cho_solve upcasts the solve accordingly)
-                    factor = cho_factor(A.astype(np.float64))
-                if self.stat_cache is not None:
-                    self.stat_cache.put_factor(cols, factor)
-            entry = (Zs, Zt, factor)
+                self.stat_cache.put_factor(cols, factor)
+        entry = (Zs, Zt, factor)
         self._designs[cols] = entry
         return entry
 
     def _beta(self, cols: tuple[int, ...], j: int) -> np.ndarray:
         """Ridge coefficients of feature ``j`` on conditioning tuple ``cols``."""
-        Zs, _, solved = self._design(cols)
-        if self.multi_rhs:
-            return solved[:, j]
+        Zs, _, factor = self._design(cols)
         per_feature = self._betas.setdefault(cols, {})
         beta = per_feature.get(j)
         if beta is not None:
@@ -404,7 +370,7 @@ class CIEngine:
             if beta is not None:
                 per_feature[j] = beta
                 return beta
-        beta = cho_solve(solved, Zs.T @ self.Xs[:, j])
+        beta = cho_solve(factor, Zs.T @ self.Xs[:, j])
         per_feature[j] = beta
         if self.stat_cache is not None:
             self.stat_cache.put_beta(cols, j, beta)
@@ -622,11 +588,8 @@ def _install_worker_engine(Xs, Xt, params: dict) -> None:
     _WORKER_ENGINE = CIEngine(
         Xs,
         Xt,
-        ridge=params.get("ridge", DEFAULT_RIDGE),
-        stats_dtype=params.get("stats_dtype", "float64"),
-        verify_alpha=params.get("verify_alpha"),
-        verify_margin=params.get("verify_margin"),
-        multi_rhs=params.get("multi_rhs", False),
+        stats_dtype=params["stats_dtype"],
+        verify_alpha=params["alpha"],
         stat_cache=stat_cache,
     )
     _WORKER_PARAMS = {

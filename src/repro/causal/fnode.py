@@ -41,6 +41,7 @@ from repro.causal.ci_tests import (
     regression_invariance_test,
 )
 from repro.causal.engine import (
+    DEFAULT_RIDGE,
     CIEngine,
     init_search_worker,
     init_search_worker_shm,
@@ -51,6 +52,7 @@ from repro.causal.engine import (
 from repro.causal.shm import create_shared_matrices
 from repro.causal.pc import pc_algorithm
 from repro.causal.warm import CIStatCache, WarmState, matrix_fingerprint
+from repro.core.config import FSConfig
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
@@ -125,106 +127,14 @@ class FNodeDiscovery:
       marginal is untouched — children do not influence parents), which a
       fixed-conditioning-set test gets wrong.
 
-    Parameters
-    ----------
-    alpha:
-        Significance level; features whose every subset test yields
-        ``p < alpha`` are declared variant.
-    max_parents:
-        Number of top-correlated candidate conditioners considered.
-    max_cond_size:
-        Largest conditioning-subset size tried (PC's depth limit).
-    min_correlation:
-        Candidate conditioners must exceed this absolute source-domain
-        correlation (prevents conditioning on unrelated noise columns).
-    n_jobs:
-        Worker processes for the conditional subset search (``-1`` = all
-        cores).  Features are chunked across workers and merged back in
-        feature order, so results are bit-identical to ``n_jobs=1``.  The
-        matrices reach workers zero-copy via shared memory when available
-        (see ``use_shared_memory``).
-    ridge:
-        Ridge strength of the conditional regression (matches
-        :func:`repro.causal.ci_tests.regression_invariance_test`).
-    prune_k:
-        Cap on each feature's *primary* conditioning-candidate pool: the
-        top ``prune_k`` candidates by marginal-association effect size are
-        searched first.  With ``prune_exact=True`` (default) the remaining
-        candidates form a fallback pool searched only if the primary pool
-        fails to separate the feature — variant decisions are then exactly
-        those of the unpruned search, but features separated by a
-        top-ranked conditioner (the common case) never pay for the full
-        subset enumeration.  ``None`` disables pruning.
-    prune_exact:
-        When False, the fallback phase is skipped: only the pruned pool is
-        searched (approximate, faster; some variants may be over-reported).
-    budget / budget_seconds:
-        Anytime mode — a global cap on the number of conditional CI tests
-        and/or the wall-clock time of the subset-search phase.  Features
-        are processed closest-to-clearing first and candidates are ranked
-        by effect size, so tests form a deterministic prefix across budget
-        values; a larger budget can only *clear* more features, so its
-        variant set is a subset of any smaller budget's.  Budgeted runs are
-        serial (a global countdown cannot span processes) and report the
-        searched fraction in :attr:`FNodeResult.coverage`.
-    stats_dtype:
-        ``"float64"`` (default) or ``"float32"``: run the batched
-        statistics in single precision, with every p-value within
-        ``alpha/2`` of ``alpha`` re-verified in float64 so variant
-        decisions match the float64 path.
-    use_shared_memory:
-        Publish the matrices to workers via ``multiprocessing.shared_memory``
-        (zero-copy) instead of pickling them per worker.  Falls back to
-        pickling automatically when shared memory is unavailable; both
-        fan-outs are result-identical.
-    multi_rhs:
-        Frozen PR-2 solve mode (benchmark baseline): betas for all
-        features are solved per conditioning tuple instead of per
-        ``(tuple, feature)``.  float64 only.
+    Every setting is a field of the one :class:`~repro.core.config.FSConfig`
+    it is built from, which documents and validates them (``None`` means the
+    defaults).
     """
 
-    def __init__(
-        self,
-        *,
-        alpha: float = 0.01,
-        max_parents: int = 5,
-        max_cond_size: int = 2,
-        min_correlation: float = 0.2,
-        n_jobs: int = 1,
-        ridge: float = 1e-3,
-        prune_k: int | None = None,
-        prune_exact: bool = True,
-        budget: int | None = None,
-        budget_seconds: float | None = None,
-        stats_dtype: str = "float64",
-        use_shared_memory: bool = True,
-        multi_rhs: bool = False,
-    ) -> None:
-        if not 0.0 < alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
-        if max_parents < 0:
-            raise ValidationError("max_parents must be >= 0")
-        if max_cond_size < 0:
-            raise ValidationError("max_cond_size must be >= 0")
-        if prune_k is not None and prune_k < 1:
-            raise ValidationError("prune_k must be a positive int or None")
-        if budget is not None and budget < 0:
-            raise ValidationError("budget must be >= 0 or None")
-        if budget_seconds is not None and budget_seconds <= 0:
-            raise ValidationError("budget_seconds must be > 0 or None")
-        self.alpha = alpha
-        self.max_parents = max_parents
-        self.max_cond_size = max_cond_size
-        self.min_correlation = min_correlation
-        self.n_jobs = resolve_n_jobs(n_jobs)
-        self.ridge = ridge
-        self.prune_k = prune_k
-        self.prune_exact = prune_exact
-        self.budget = budget
-        self.budget_seconds = budget_seconds
-        self.stats_dtype = stats_dtype
-        self.use_shared_memory = use_shared_memory
-        self.multi_rhs = multi_rhs
+    def __init__(self, config: FSConfig | None = None) -> None:
+        self.config = config if config is not None else FSConfig()
+        self.n_jobs = resolve_n_jobs(self.config.n_jobs)
         #: WarmState captured by the last discover()/rediscover() call —
         #: feed it to the next rediscover() (or persist it via the
         #: FeatureSeparator estimator state) to warm-start that run
@@ -235,15 +145,21 @@ class FNodeDiscovery:
         #: reports
         self.cache_stats_: dict | None = None
 
+    @property
+    def _budgeted(self) -> bool:
+        cfg = self.config
+        return cfg.budget is not None or cfg.budget_seconds is not None
+
     def _candidates(self, corr: np.ndarray, j: int) -> tuple[int, ...]:
         """Top-``max_parents`` source-correlated features for column j."""
-        if self.max_parents == 0:
+        cfg = self.config
+        if cfg.max_parents == 0:
             return ()
         row = np.abs(corr[j]).copy()
         row[j] = 0.0
         row[~np.isfinite(row)] = 0.0
-        order = np.argsort(row)[::-1][: self.max_parents]
-        return tuple(int(k) for k in order if row[k] >= self.min_correlation)
+        order = np.argsort(row)[::-1][: cfg.max_parents]
+        return tuple(int(k) for k in order if row[k] >= cfg.min_correlation)
 
     def discover(self, X_source, X_target) -> FNodeResult:
         """Identify intervention targets between the two domains.
@@ -285,15 +201,16 @@ class FNodeDiscovery:
 
     def _params_key(self) -> dict:
         """Discovery parameters recorded in the warm state (provenance)."""
+        cfg = self.config
         return {
-            "alpha": float(self.alpha),
-            "max_parents": int(self.max_parents),
-            "max_cond_size": int(self.max_cond_size),
-            "min_correlation": float(self.min_correlation),
-            "ridge": float(self.ridge),
-            "stats_dtype": str(self.stats_dtype),
-            "prune_k": None if self.prune_k is None else int(self.prune_k),
-            "prune_exact": bool(self.prune_exact),
+            "alpha": float(cfg.alpha),
+            "max_parents": int(cfg.max_parents),
+            "max_cond_size": int(cfg.max_cond_size),
+            "min_correlation": float(cfg.min_correlation),
+            "ridge": DEFAULT_RIDGE,
+            "stats_dtype": str(cfg.stats_dtype),
+            "prune_k": None if cfg.prune_k is None else int(cfg.prune_k),
+            "prune_exact": bool(cfg.prune_exact),
         }
 
     def _resolve_warm(self, warm, d, src_fp):
@@ -305,16 +222,16 @@ class FNodeDiscovery:
         dropped — its entries counted as invalidated — unless its (ridge,
         dtype, source-fingerprint) guards match byte-for-byte reuse.  A
         fresh empty cache is attached otherwise so this run captures state
-        for the next one (``multi_rhs`` baseline mode never caches).
+        for the next one.
         """
         priors = None
         cache = None
         invalidated = 0
         if warm is not None:
             old = warm.cache
-            if old is not None and not self.multi_rhs and old.matches(
-                ridge=self.ridge,
-                stats_dtype=self.stats_dtype,
+            if old is not None and old.matches(
+                ridge=DEFAULT_RIDGE,
+                stats_dtype=self.config.stats_dtype,
                 source_fingerprint=src_fp,
             ):
                 cache = old
@@ -328,10 +245,10 @@ class FNodeDiscovery:
                 and warm.source_fingerprint == src_fp
             ):
                 priors = p
-        if cache is None and not self.multi_rhs:
+        if cache is None:
             cache = CIStatCache(
-                ridge=self.ridge,
-                stats_dtype=self.stats_dtype,
+                ridge=DEFAULT_RIDGE,
+                stats_dtype=self.config.stats_dtype,
                 source_fingerprint=src_fp,
             )
         return priors, cache, invalidated
@@ -349,7 +266,7 @@ class FNodeDiscovery:
         if j >= len(sets):
             return None
         prior = tuple(int(c) for c in sets[j])
-        if not prior or len(prior) > self.max_cond_size:
+        if not prior or len(prior) > self.config.max_cond_size:
             return None
         if not set(prior).issubset(pool):
             return None
@@ -374,18 +291,17 @@ class FNodeDiscovery:
         src_fp = matrix_fingerprint(X_source)
         priors, stat_cache, invalidated = self._resolve_warm(warm, d, src_fp)
         mode = "cold" if priors is None else "exact"
+        cfg = self.config
         engine = CIEngine(
             X_source,
             X_target,
-            ridge=self.ridge,
-            stats_dtype=self.stats_dtype,
-            verify_alpha=self.alpha,
-            multi_rhs=self.multi_rhs,
+            stats_dtype=cfg.stats_dtype,
+            verify_alpha=cfg.alpha,
             stat_cache=stat_cache,
         )
         registry = get_metrics()
         tracer = get_tracer()
-        budgeted = self.budget is not None or self.budget_seconds is not None
+        budgeted = self._budgeted
 
         # the FS span decomposes into CI-test-batch child spans (the batched
         # marginal sweep, then chunks of conditional subset searches) so a
@@ -411,8 +327,8 @@ class FNodeDiscovery:
             # each task is (j, primary candidates, fallback candidates, p,
             # prior separating set or None)
             tasks = []
-            if self.max_parents > 0 and self.max_cond_size > 0:
-                for j in np.nonzero(p_values < self.alpha)[0]:
+            if cfg.max_parents > 0 and cfg.max_cond_size > 0:
+                for j in np.nonzero(p_values < cfg.alpha)[0]:
                     j = int(j)
                     pool = self._candidates(corr, j)
                     if not pool:
@@ -449,8 +365,8 @@ class FNodeDiscovery:
                 warm_misses=engine.cache_stats["warm_misses"],
             )
 
-        variant = np.where(p_values < self.alpha)[0]
-        invariant = np.where(p_values >= self.alpha)[0]
+        variant = np.where(p_values < cfg.alpha)[0]
+        invariant = np.where(p_values >= cfg.alpha)[0]
         if registry.enabled:
             registry.counter("fs_discoveries_total").inc()
             registry.gauge("fs_n_variant").set(len(variant))
@@ -508,15 +424,15 @@ class FNodeDiscovery:
         never separates ``j``.  Budgeted runs rank the pool even when not
         pruning so a tight budget tries the most promising subsets first.
         """
-        if self.prune_k is None:
+        prune_k = self.config.prune_k
+        if prune_k is None:
             if budgeted:
                 return rank_candidates(corr[j], marginal_p, pool), None
             return pool, None
         ranked = rank_candidates(corr[j], marginal_p, pool)
-        if len(ranked) <= self.prune_k:
+        if len(ranked) <= prune_k:
             return ranked, None
-        primary = ranked[: self.prune_k]
-        return primary, (ranked if self.prune_exact else None)
+        return ranked[:prune_k], (ranked if self.config.prune_exact else None)
 
     def _search(self, engine, tasks, tracer) -> tuple[list, float]:
         """Run the conditional subset searches, serially or in a process pool.
@@ -534,12 +450,12 @@ class FNodeDiscovery:
             for start in range(0, len(tasks), CI_BATCH_SIZE)
         ]
         results: list = []
-        budgeted = self.budget is not None or self.budget_seconds is not None
-        if self.n_jobs == 1 or budgeted:
-            remaining = self.budget
+        cfg = self.config
+        if self.n_jobs == 1 or self._budgeted:
+            remaining = cfg.budget
             deadline = (
-                time.perf_counter() + self.budget_seconds
-                if self.budget_seconds is not None
+                time.perf_counter() + cfg.budget_seconds
+                if cfg.budget_seconds is not None
                 else None
             )
             for chunk in chunks:
@@ -555,8 +471,8 @@ class FNodeDiscovery:
                             j,
                             candidates,
                             marginal_p,
-                            alpha=self.alpha,
-                            max_cond_size=self.max_cond_size,
+                            alpha=cfg.alpha,
+                            max_cond_size=cfg.max_cond_size,
                             budget=remaining,
                             deadline=deadline,
                             extra_candidates=extra,
@@ -570,12 +486,9 @@ class FNodeDiscovery:
             coverage = sum(1 for row in results if row[5]) / len(tasks)
             return results, coverage
         params = {
-            "alpha": self.alpha,
-            "max_cond_size": self.max_cond_size,
-            "ridge": self.ridge,
-            "stats_dtype": self.stats_dtype,
-            "verify_alpha": self.alpha,
-            "multi_rhs": self.multi_rhs,
+            "alpha": cfg.alpha,
+            "max_cond_size": cfg.max_cond_size,
+            "stats_dtype": cfg.stats_dtype,
             # warm entries ride to every worker (read side); workers' new
             # entries stay worker-local — only the serial path accumulates
             # a complete cache for the next run
@@ -587,7 +500,7 @@ class FNodeDiscovery:
         }
         shared = (
             create_shared_matrices({"Xs": engine.Xs64, "Xt": engine.Xt64})
-            if self.use_shared_memory
+            if cfg.use_shared_memory
             else None
         )
         try:

@@ -1,10 +1,10 @@
 """Zero-copy process-pool fan-out via ``multiprocessing.shared_memory``.
 
-The PR-2 process-pool subset search shipped the pooled (source, target)
-matrices to every worker through the pool initializer — one pickle of the
-full float64 matrices per worker.  At the paper's 442-feature width (and
-the 1k+ widths ROADMAP item 4 targets) that serialization is a fixed cost
-the workers pay before the first CI test runs.  This module replaces it:
+Shipping the pooled (source, target) matrices to every worker through the
+pool initializer costs one pickle of the full float64 matrices per worker.
+At the paper's 442-feature width (and at 1k+ widths) that serialization is
+a fixed cost the workers pay before the first CI test runs.  This module
+avoids it:
 
 - :func:`create_shared_matrices` publishes named float64 arrays into POSIX
   shared memory **once**; only the segment names/shapes/dtypes (a few
@@ -26,8 +26,8 @@ Lifecycle rules:
   before).
 - When shared memory is unavailable (no ``/dev/shm``, permissions,
   platform), :func:`create_shared_matrices` returns ``None`` and the
-  caller falls back to the PR-2 pickling initializer — same results,
-  slower fan-out.
+  caller falls back to the pickling initializer — same results, slower
+  fan-out.
 """
 
 from __future__ import annotations

@@ -337,7 +337,7 @@ class WarmState:
         pre-search marginal p-values.
     cache:
         The :class:`CIStatCache` accumulated by the previous run (``None``
-        in ``multi_rhs`` baseline mode, which never caches).
+        when the persisted state carries none).
     source_fingerprint:
         Fingerprint of the source matrix the priors/cache derive from;
         a mismatch forces a cold fallback (and cache invalidation).

@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve suite: Monte-Carlo draws per sample")
     p.add_argument("--wide", action="store_true",
                    help="fs suite: scaling curve on synthetic wide matrices "
-                   "(pre-PR engine vs shared-memory/pruned/float32 path) "
+                   "(default engine vs pruned/float32 path) "
                    "instead of the preset dataset benchmark")
     p.add_argument("--warm", action="store_true",
                    help="fs suite: warm-start re-discovery benchmark (cold "

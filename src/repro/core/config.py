@@ -7,6 +7,7 @@ constructors return the exact published settings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.utils.errors import ConfigurationError
 
@@ -15,29 +16,39 @@ RECONSTRUCTION_STRATEGIES = ("gan", "nocond", "vae", "autoencoder")
 
 @dataclass(frozen=True)
 class FSConfig:
-    """Feature-separation settings (§V-A).
+    """Feature-separation settings (§V-A): the one parameter surface of
+    :class:`~repro.causal.FNodeDiscovery`, validated here.
 
-    ``alpha`` is the CI-test significance level; ``max_parents`` the size of
-    the approximate parent set conditioning each ``X ⊥ F | Pa(X)`` test;
-    ``min_correlation`` the parent-candidate admission threshold.
+    ``alpha`` is the CI-test significance level (a feature is variant when
+    every tested subset gives ``p < alpha``); ``max_parents`` the number of
+    top source-correlated candidate conditioners of each ``X ⊥ F | Pa(X)``
+    test; ``max_cond_size`` the largest conditioning subset tried (PC's
+    depth limit); ``min_correlation`` the absolute source correlation a
+    candidate must reach.
 
     ``n_jobs`` is the worker-process count for the CI subset search.  The
     only accepted values are positive integers and ``-1``, which means "one
-    worker per available CPU core" (``os.cpu_count()``); ``0`` and other
-    negative values are rejected at construction.  Parallel results are
-    bit-identical to the serial path, and workers receive the matrices
-    zero-copy via shared memory when ``use_shared_memory`` is set (with an
-    automatic result-identical pickling fallback).
+    worker per available CPU core" (``os.cpu_count()``); ``0``, other
+    negative values, bools and non-integers are rejected at construction.
+    Parallel results are bit-identical to the serial path, and workers
+    receive the matrices zero-copy via shared memory when
+    ``use_shared_memory`` is set (with an automatic result-identical
+    pickling fallback).
 
-    Wide-scale controls (ROADMAP item 4): ``prune_k`` caps each feature's
-    primary conditioning-candidate pool at the top-k candidates by
-    marginal-association effect size (``prune_exact=True`` keeps variant
-    decisions exactly equal to the unpruned search via a fallback phase);
+    Wide-scale controls: ``prune_k`` caps each feature's primary
+    conditioning-candidate pool at the top-k candidates by
+    marginal-association effect size; ``prune_exact=True`` searches the
+    full pool as a fallback when the primary pool never separates the
+    feature, so variant decisions equal the unpruned search
+    (``prune_exact=False`` skips it and can only over-report).
     ``budget`` / ``budget_seconds`` bound the conditional-test count /
-    wall-clock of an anytime search that reports its coverage;
-    ``stats_dtype="float32"`` runs the statistics path in single precision
-    with float64 re-verification of borderline p-values (variant decisions
-    match float64).
+    wall-clock of an anytime search: features run closest-to-clearing
+    first, a larger budget's variant set is a subset of a smaller one's,
+    budgeted runs are serial, and the searched fraction is reported as
+    ``FNodeResult.coverage``.  ``stats_dtype="float32"`` runs the
+    statistics path in single precision with float64 re-verification of
+    p-values within ``alpha / 2`` of ``alpha`` (variant decisions match
+    float64).
 
     ``warm_mode`` controls how a refit uses the previous run's
     :class:`~repro.causal.warm.WarmState` (persistent CI-statistics cache +
@@ -69,10 +80,15 @@ class FSConfig:
             raise ConfigurationError("max_cond_size must be >= 0")
         if not 0.0 <= self.min_correlation <= 1.0:
             raise ConfigurationError("min_correlation must be in [0, 1]")
-        if self.n_jobs != -1 and self.n_jobs < 1:
+        if (
+            isinstance(self.n_jobs, bool)
+            or not isinstance(self.n_jobs, Integral)
+            or (self.n_jobs != -1 and self.n_jobs < 1)
+        ):
             raise ConfigurationError(
-                "n_jobs must be >= 1 or -1 (all cores); 0 and negative "
-                f"values other than -1 are invalid, got {self.n_jobs!r}"
+                "n_jobs must be an integer >= 1 or -1 (all cores); 0, "
+                "negative values other than -1, bools and non-integers are "
+                f"invalid, got {self.n_jobs!r}"
             )
         if self.prune_k is not None and self.prune_k < 1:
             raise ConfigurationError("prune_k must be a positive int or None")

@@ -154,19 +154,7 @@ class FeatureSeparator(Estimator):
         X_target = mark_validated(
             check_array(X_target, name="X_target", min_samples=2)
         )
-        discovery = FNodeDiscovery(
-            alpha=self.config.alpha,
-            max_parents=self.config.max_parents,
-            max_cond_size=self.config.max_cond_size,
-            min_correlation=self.config.min_correlation,
-            n_jobs=self.config.n_jobs,
-            prune_k=self.config.prune_k,
-            prune_exact=self.config.prune_exact,
-            budget=self.config.budget,
-            budget_seconds=self.config.budget_seconds,
-            stats_dtype=self.config.stats_dtype,
-            use_shared_memory=self.config.use_shared_memory,
-        )
+        discovery = FNodeDiscovery(self.config)
         with get_tracer().span(
             "fs.fit",
             n_source=X_source.shape[0],

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -60,12 +61,7 @@ def reference_discover(
     this against the engine isolates the optimization being benchmarked.
     """
     config = config or FSConfig()
-    disc = FNodeDiscovery(
-        alpha=config.alpha,
-        max_parents=config.max_parents,
-        max_cond_size=config.max_cond_size,
-        min_correlation=config.min_correlation,
-    )
+    disc = FNodeDiscovery(config)
     X_source = np.ascontiguousarray(X_source, dtype=np.float64)
     X_target = np.ascontiguousarray(X_target, dtype=np.float64)
     d = X_source.shape[1]
@@ -301,15 +297,15 @@ def run_bench_wide(
     random_state: int = 0,
     out: str | None = None,
 ) -> list[dict]:
-    """FS scaling curve: pre-PR engine vs the wide-scale fast path.
+    """FS scaling curve: the default engine vs the wide-scale fast path.
 
-    For each width, **before** runs the frozen PR-2 configuration (multi-RHS
-    ridge solves, pickled worker fan-out, no pruning, float64) and **after**
-    runs the wide-scale path (per-feature solves, shared-memory fan-out,
-    exact-mode pruning at ``prune_k``, ``stats_dtype`` statistics with
-    float64 borderline verification).  Both sides see the same matrices and
-    ``n_jobs``; ``equivalent`` asserts identical variant decisions, which
-    exact-mode pruning and verified float32 guarantee by construction.
+    For each width, **before** runs the default configuration
+    (``FSConfig(n_jobs=n_jobs)``: no pruning, float64 statistics) and
+    **after** adds the wide-scale settings (exact-mode pruning at
+    ``prune_k``, ``stats_dtype`` statistics with float64 borderline
+    verification).  Both sides see the same matrices and ``n_jobs``;
+    ``equivalent`` asserts identical variant decisions, which exact-mode
+    pruning and verified float32 guarantee by construction.
     Returns one record per width; with ``out``, each is merged under
     ``wide/<width>/seed<seed>``.
     """
@@ -324,15 +320,9 @@ def run_bench_wide(
             n_target=n_target,
             random_state=random_state,
         )
-        before_disc = FNodeDiscovery(
-            n_jobs=n_jobs, multi_rhs=True, use_shared_memory=False
-        )
+        before_disc = FNodeDiscovery(FSConfig(n_jobs=n_jobs))
         after_disc = FNodeDiscovery(
-            n_jobs=n_jobs,
-            prune_k=prune_k,
-            prune_exact=True,
-            stats_dtype=stats_dtype,
-            use_shared_memory=True,
+            FSConfig(n_jobs=n_jobs, prune_k=prune_k, stats_dtype=stats_dtype)
         )
         before_seconds = after_seconds = float("inf")
         with tracer.span("bench.fs_wide", width=int(width), rounds=fs_rounds):
@@ -375,10 +365,8 @@ def run_bench_wide(
                 "fs_rounds": fs_rounds,
                 "n_source": n_source,
                 "n_target": n_target,
-                "before_mode": "multi_rhs+pickle+float64",
-                "after_mode": (
-                    f"per_feature+shm+prune_k={prune_k}+{stats_dtype}"
-                ),
+                "before_mode": "default+float64",
+                "after_mode": f"default+prune_k={prune_k}+{stats_dtype}",
                 "coverage": float(after.coverage),
             },
         ).to_dict()
@@ -439,21 +427,18 @@ def run_bench_warm(
     ``warm/<width>/seed<seed>``.
     """
     from repro.core.artifacts import load_artifact, save_artifact
-    from repro.core.config import FSConfig
-    from repro.core.feature_separation import FeatureSeparator
 
     tracer = get_tracer()
     logger = get_logger("repro.experiments.bench")
     fs_rounds = max(1, fs_rounds)
-    engine_kwargs = dict(
+    serial = FSConfig(
         prune_k=prune_k,
-        prune_exact=True,
         max_parents=max_parents,
         max_cond_size=max_cond_size,
         min_correlation=min_correlation,
         stats_dtype=stats_dtype,
-        use_shared_memory=True,
     )
+    fanned = replace(serial, n_jobs=n_jobs)
     records: list[dict] = []
     for width in widths:
         Xs, Xt = make_wide_pair(
@@ -470,7 +455,7 @@ def run_bench_warm(
         # Serial on purpose — pool workers keep their cache entries local,
         # so only a serial run accumulates the complete CI-statistics cache
         # the warm state is supposed to carry.
-        prior_disc = FNodeDiscovery(n_jobs=1, **engine_kwargs)
+        prior_disc = FNodeDiscovery(serial)
         prior_disc.discover(Xs, Xt_prior)
         warm0 = prior_disc.warm_state_
 
@@ -478,11 +463,11 @@ def run_bench_warm(
         cold = after = None
         with tracer.span("bench.fs_warm", width=int(width), rounds=fs_rounds):
             for _ in range(fs_rounds):
-                cold_disc = FNodeDiscovery(n_jobs=n_jobs, **engine_kwargs)
+                cold_disc = FNodeDiscovery(fanned)
                 with Stopwatch() as sw:
                     cold = cold_disc.discover(Xs, Xt)
                 before_seconds = min(before_seconds, sw.seconds)
-                warm_disc = FNodeDiscovery(n_jobs=n_jobs, **engine_kwargs)
+                warm_disc = FNodeDiscovery(fanned)
                 warm_in = _clone_warm(warm0)
                 with Stopwatch() as sw:
                     after = warm_disc.rediscover(Xs, Xt, warm_in)
@@ -495,37 +480,22 @@ def run_bench_warm(
 
         # untimed equivalence evidence: every fan-out path
         checks = {"warm_equal": variant_equal(after)}
-        for name, kwargs in (
-            ("serial_equal", {"n_jobs": 1}),
-            ("pool_equal", {"n_jobs": 2, "use_shared_memory": False}),
-            ("shm_equal", {"n_jobs": 2, "use_shared_memory": True}),
+        for name, config in (
+            ("serial_equal", serial),
+            ("pool_equal", replace(serial, n_jobs=2, use_shared_memory=False)),
+            ("shm_equal", replace(serial, n_jobs=2)),
         ):
-            opts = dict(engine_kwargs)
-            opts["use_shared_memory"] = kwargs.get(
-                "use_shared_memory", opts["use_shared_memory"]
-            )
-            disc = FNodeDiscovery(n_jobs=kwargs["n_jobs"], **opts)
-            res = disc.rediscover(Xs, Xt, _clone_warm(warm0))
+            res = FNodeDiscovery(config).rediscover(Xs, Xt, _clone_warm(warm0))
             checks[name] = variant_equal(res)
 
         # artifact roundtrip: the warm state must survive the v2 bundle and
         # still drive an equivalent warm refit (the daemon restart path)
-        sep = FeatureSeparator(
-            FSConfig(
-                n_jobs=1,
-                prune_k=prune_k,
-                max_parents=max_parents,
-                max_cond_size=max_cond_size,
-                min_correlation=min_correlation,
-                stats_dtype=stats_dtype,
-            )
-        ).fit(Xs, Xt_prior)
+        sep = FeatureSeparator(serial).fit(Xs, Xt_prior)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "separator.npz")
             save_artifact(sep, path)
             restored = load_artifact(path).estimator
-        rt_disc = FNodeDiscovery(n_jobs=1, **engine_kwargs)
-        rt = rt_disc.rediscover(Xs, Xt, restored.warm_state_)
+        rt = FNodeDiscovery(serial).rediscover(Xs, Xt, restored.warm_state_)
         checks["roundtrip_equal"] = variant_equal(rt)
 
         equivalent = bool(

@@ -165,7 +165,7 @@ def format_bench(record: dict) -> str:
 def format_bench_wide(records: list[dict]) -> str:
     """Render the ``repro bench --suite fs --wide`` scaling curve."""
     lines = [
-        "Wide-scale FS scaling (pre-PR engine vs wide path, "
+        "Wide-scale FS scaling (default engine vs wide path, "
         "min-of-rounds wall clock)",
         "  width | before (s) | after (s) | speedup | tests before/after | "
         "equivalent",

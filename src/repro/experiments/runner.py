@@ -262,13 +262,7 @@ def _build_artifacts_worker(task):
     shots, repeat, X_few_scaled, strategies, seed = task
     cfg = _ARTIFACT_CTX["fs_config"]
     Xs = _ARTIFACT_CTX["Xs"]
-    discovery = FNodeDiscovery(
-        alpha=cfg.alpha,
-        max_parents=cfg.max_parents,
-        max_cond_size=cfg.max_cond_size,
-        min_correlation=cfg.min_correlation,
-    )
-    result = discovery.discover(Xs, X_few_scaled)
+    result = FNodeDiscovery(cfg).discover(Xs, X_few_scaled)
     recs = {}
     if strategies:
         sep = FeatureSeparator.from_result(result, Xs.shape[1], cfg)

@@ -23,7 +23,7 @@ and coalescing summary on the way out.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,15 +61,6 @@ class DaemonConfig:
     manage_lineage: bool = True
     #: flip the lineage pointer automatically on a winning shadow verdict
     auto_promote: bool = True
-    #: shadow policy: consecutive agreeing batches required to promote
-    shadow_agreement_batches: int = 3
-    #: shadow policy: per-batch max abs proba diff counting as agreement
-    shadow_max_disagreement: float = 5e-3
-    #: shadow policy: immediate abort threshold (regression guard)
-    shadow_abort_disagreement: float = 0.5
-    #: shadow policy: abort after this many batches without promotion
-    shadow_max_batches: int | None = 64
-    extra: dict = field(default_factory=dict)
 
 
 class ServeDaemon:
@@ -189,24 +180,13 @@ class ServeDaemon:
             )
         return self.lineage
 
-    def shadow_policy(self):
-        """The ShadowPolicy assembled from the daemon config."""
-        from repro.adapt.shadow import ShadowPolicy
-
-        cfg = self.config
-        return ShadowPolicy(
-            agreement_batches=cfg.shadow_agreement_batches,
-            max_disagreement=cfg.shadow_max_disagreement,
-            abort_disagreement=cfg.shadow_abort_disagreement,
-            max_batches=cfg.shadow_max_batches,
-        )
-
     def start_shadow(self, tenant: str, content_hash: str | None = None, *,
                      policy=None):
         """Shadow-score a candidate version against the incumbent.
 
         ``content_hash`` defaults to the tenant's most recent
-        candidate/shadow lineage version.  Live traffic keeps being
+        candidate/shadow lineage version and ``policy`` to a default
+        :class:`~repro.adapt.shadow.ShadowPolicy`.  Live traffic keeps being
         answered by the incumbent; once the evaluator reaches a verdict
         the candidate is auto-promoted (pointer flip, picked up by the
         stat-triggered hot reload — no restart) or retired, per
@@ -234,7 +214,7 @@ class ServeDaemon:
                 )
             version = candidates[0]
         lineage.mark(tenant, version.content_hash, "shadow")
-        evaluator = ShadowEvaluator(tenant, policy or self.shadow_policy())
+        evaluator = ShadowEvaluator(tenant, policy)
         self._shadow_results.pop(tenant, None)
         return self.cache.start_shadow(
             tenant, lineage.version_path(version), version.content_hash,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.causal import FNodeDiscovery
+from repro.core.config import FSConfig
 from repro.causal.ci_tests import regression_invariance_test
 from repro.causal.engine import (
     CIEngine,
@@ -129,8 +130,8 @@ class TestReferenceEquivalence:
 class TestParallelEquivalence:
     def test_bit_identical_to_serial(self, domain_pair):
         Xs, Xt = domain_pair
-        serial = FNodeDiscovery(n_jobs=1).discover(Xs, Xt)
-        parallel = FNodeDiscovery(n_jobs=4).discover(Xs, Xt)
+        serial = FNodeDiscovery(FSConfig(n_jobs=1)).discover(Xs, Xt)
+        parallel = FNodeDiscovery(FSConfig(n_jobs=4)).discover(Xs, Xt)
         np.testing.assert_array_equal(serial.variant_indices, parallel.variant_indices)
         np.testing.assert_array_equal(serial.p_values, parallel.p_values)
         assert serial.parent_sets == parallel.parent_sets
@@ -142,16 +143,18 @@ class TestParallelEquivalence:
         if not SHM_AVAILABLE:
             pytest.skip("shared memory unavailable on this platform")
         Xs, Xt = domain_pair
-        serial = FNodeDiscovery(n_jobs=1).discover(Xs, Xt)
-        shm = FNodeDiscovery(n_jobs=2, use_shared_memory=True).discover(Xs, Xt)
+        serial = FNodeDiscovery(FSConfig(n_jobs=1)).discover(Xs, Xt)
+        config = FSConfig(n_jobs=2, use_shared_memory=True)
+        shm = FNodeDiscovery(config).discover(Xs, Xt)
         np.testing.assert_array_equal(serial.p_values, shm.p_values)
         assert serial.parent_sets == shm.parent_sets
         assert serial.n_tests == shm.n_tests
 
     def test_pickling_fallback_bit_identical(self, domain_pair):
         Xs, Xt = domain_pair
-        serial = FNodeDiscovery(n_jobs=1).discover(Xs, Xt)
-        pickled = FNodeDiscovery(n_jobs=2, use_shared_memory=False).discover(Xs, Xt)
+        serial = FNodeDiscovery(FSConfig(n_jobs=1)).discover(Xs, Xt)
+        config = FSConfig(n_jobs=2, use_shared_memory=False)
+        pickled = FNodeDiscovery(config).discover(Xs, Xt)
         np.testing.assert_array_equal(serial.p_values, pickled.p_values)
         assert serial.parent_sets == pickled.parent_sets
         assert serial.n_tests == pickled.n_tests
@@ -164,14 +167,14 @@ class TestParallelEquivalence:
         if not SHM_AVAILABLE:
             pytest.skip("shared memory unavailable on this platform")
         Xs, Xt = domain_pair
-        FNodeDiscovery(n_jobs=2, use_shared_memory=True).discover(Xs, Xt)
+        FNodeDiscovery(FSConfig(n_jobs=2, use_shared_memory=True)).discover(Xs, Xt)
         assert glob.glob("/dev/shm/repro_fs_*") == []
 
     @pytest.mark.parametrize("n_jobs", [1, 2])
     def test_obs_counters_match_n_tests(self, domain_pair, tmp_path, n_jobs):
         Xs, Xt = domain_pair
         with RunRecorder(tmp_path / f"run{n_jobs}") as rec:
-            result = FNodeDiscovery(n_jobs=n_jobs).discover(Xs, Xt)
+            result = FNodeDiscovery(FSConfig(n_jobs=n_jobs)).discover(Xs, Xt)
         total = rec.metrics.counter("ci_tests_total").value
         assert total == result.n_tests
         assert rec.metrics.histogram("ci_test_seconds").count == total

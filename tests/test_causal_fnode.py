@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.causal import FNodeDiscovery, FNodeResult, discover_targets_pc
+from repro.core.config import FSConfig
 from repro.utils.errors import ValidationError
 
 
@@ -29,7 +30,7 @@ def make_two_domain_data(rng, n_s=1000, n_t=120):
 class TestFNodeDiscovery:
     def test_finds_true_target_only(self, rng):
         X_s, X_t = make_two_domain_data(rng)
-        result = FNodeDiscovery(alpha=0.01).discover(X_s, X_t)
+        result = FNodeDiscovery(FSConfig(alpha=0.01)).discover(X_s, X_t)
         assert 1 in result.variant_indices  # the intervened node
         assert 2 not in result.variant_indices  # child cleared by conditioning
         assert 0 not in result.variant_indices  # parent cleared by empty set
@@ -39,7 +40,7 @@ class TestFNodeDiscovery:
     def test_no_drift_no_targets(self, rng):
         X = rng.standard_normal((800, 6))
         X_t = rng.standard_normal((100, 6))
-        result = FNodeDiscovery(alpha=0.001).discover(X, X_t)
+        result = FNodeDiscovery(FSConfig(alpha=0.001)).discover(X, X_t)
         assert result.n_variant <= 1  # at most a false positive
 
     def test_result_partition(self, rng):
@@ -97,7 +98,7 @@ class TestFNodeDiscovery:
 
     def test_max_parents_zero_is_marginal_test(self, rng):
         X_s, X_t = make_two_domain_data(rng)
-        result = FNodeDiscovery(max_parents=0).discover(X_s, X_t)
+        result = FNodeDiscovery(FSConfig(max_parents=0)).discover(X_s, X_t)
         # without conditioning, the child of the target is also flagged
         assert 1 in result.variant_indices
         assert 2 in result.variant_indices

@@ -151,12 +151,6 @@ class TestCIStatCache:
         np.testing.assert_array_equal(
             back.get_factor((1,))[0], cache.get_factor((1,))[0])
 
-    def test_multi_rhs_engine_rejects_cache(self, pair):
-        Xs, Xt = pair
-        cache = CIStatCache(ridge=1e-3, stats_dtype="float64")
-        with pytest.raises(ValidationError):
-            CIEngine(Xs, Xt, multi_rhs=True, stat_cache=cache)
-
 
 def _npz_roundtrip(state: dict) -> dict:
     """Write ``state`` through a real npz file and read it back."""
@@ -274,8 +268,8 @@ class TestRediscover:
     @pytest.mark.parametrize("shm", [False, True])
     def test_parallel_paths_match_cold(self, warm_setup, shm):
         Xs, Xt, warm, cold = warm_setup
-        res = FNodeDiscovery(n_jobs=2, use_shared_memory=shm).rediscover(
-            Xs, Xt, clone_warm(warm))
+        config = FSConfig(n_jobs=2, use_shared_memory=shm)
+        res = FNodeDiscovery(config).rediscover(Xs, Xt, clone_warm(warm))
         np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
 
     def test_changed_source_falls_back_cold_and_invalidates(self, warm_setup):
@@ -295,15 +289,16 @@ class TestRediscover:
 
     def test_param_mismatch_matches_cold(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
-        disc = FNodeDiscovery(alpha=0.05)  # differs from the producing run
-        cold = FNodeDiscovery(alpha=0.05).discover(Xs, Xt)
+        # alpha differs from the producing run
+        disc = FNodeDiscovery(FSConfig(alpha=0.05))
+        cold = FNodeDiscovery(FSConfig(alpha=0.05)).discover(Xs, Xt)
         res = disc.rediscover(Xs, Xt, clone_warm(warm))
         np.testing.assert_array_equal(res.variant_indices, cold.variant_indices)
         assert disc.cache_stats_["mode"] == "exact"
 
     def test_budgeted_run_reports_coverage(self, warm_setup):
         Xs, Xt, warm, _ = warm_setup
-        disc = FNodeDiscovery(budget=2)
+        disc = FNodeDiscovery(FSConfig(budget=2))
         res = disc.rediscover(Xs, Xt, clone_warm(warm))
         assert 0.0 <= res.coverage < 1.0
 

@@ -80,7 +80,8 @@ class TestSharedMemoryLifecycle:
             fnode_mod, "create_shared_matrices", lambda arrays: None
         )
         Xs, Xt = scaled_pair
-        result = FNodeDiscovery(n_jobs=2, use_shared_memory=True).discover(Xs, Xt)
+        config = FSConfig(n_jobs=2, use_shared_memory=True)
+        result = FNodeDiscovery(config).discover(Xs, Xt)
         np.testing.assert_array_equal(baseline.p_values, result.p_values)
         assert baseline.n_tests == result.n_tests
 
@@ -89,9 +90,8 @@ class TestPruning:
     def test_exact_mode_preserves_variant_decisions(self, scaled_pair, baseline):
         Xs, Xt = scaled_pair
         for prune_k in (1, 2, 3):
-            pruned = FNodeDiscovery(prune_k=prune_k, prune_exact=True).discover(
-                Xs, Xt
-            )
+            config = FSConfig(prune_k=prune_k, prune_exact=True)
+            pruned = FNodeDiscovery(config).discover(Xs, Xt)
             np.testing.assert_array_equal(
                 baseline.variant_indices, pruned.variant_indices
             )
@@ -100,7 +100,8 @@ class TestPruning:
         for seed in range(3):
             Xs, Xt = make_wide_pair(72, random_state=seed)
             full = FNodeDiscovery().discover(Xs, Xt)
-            pruned = FNodeDiscovery(prune_k=2, prune_exact=True).discover(Xs, Xt)
+            config = FSConfig(prune_k=2, prune_exact=True)
+            pruned = FNodeDiscovery(config).discover(Xs, Xt)
             np.testing.assert_array_equal(
                 full.variant_indices, pruned.variant_indices
             )
@@ -109,12 +110,9 @@ class TestPruning:
         # skipping the fallback phase can only miss clearing subsets, so the
         # approximate variant set is a superset of the exact one
         Xs, Xt = scaled_pair
-        approx = FNodeDiscovery(prune_k=1, prune_exact=False).discover(Xs, Xt)
+        config = FSConfig(prune_k=1, prune_exact=False)
+        approx = FNodeDiscovery(config).discover(Xs, Xt)
         assert set(baseline.variant_indices) <= set(approx.variant_indices)
-
-    def test_prune_k_validation(self):
-        with pytest.raises(ValidationError):
-            FNodeDiscovery(prune_k=0)
 
 
 class TestBudgetedSearch:
@@ -124,7 +122,7 @@ class TestBudgetedSearch:
         Xs, Xt = scaled_pair
         previous = None
         for budget in (0, 10, 50, 200, 100000):
-            result = FNodeDiscovery(budget=budget).discover(Xs, Xt)
+            result = FNodeDiscovery(FSConfig(budget=budget)).discover(Xs, Xt)
             assert result.n_tests <= Xs.shape[1] + budget
             if previous is not None:
                 assert set(result.variant_indices) <= set(previous.variant_indices)
@@ -134,7 +132,7 @@ class TestBudgetedSearch:
         self, scaled_pair, baseline
     ):
         Xs, Xt = scaled_pair
-        result = FNodeDiscovery(budget=10**9).discover(Xs, Xt)
+        result = FNodeDiscovery(FSConfig(budget=10**9)).discover(Xs, Xt)
         np.testing.assert_array_equal(
             baseline.variant_indices, result.variant_indices
         )
@@ -142,36 +140,30 @@ class TestBudgetedSearch:
 
     def test_coverage_reports_completed_fraction(self, scaled_pair):
         Xs, Xt = scaled_pair
-        starved = FNodeDiscovery(budget=0).discover(Xs, Xt)
+        starved = FNodeDiscovery(FSConfig(budget=0)).discover(Xs, Xt)
         assert starved.coverage == 0.0
-        partial = FNodeDiscovery(budget=30).discover(Xs, Xt)
+        partial = FNodeDiscovery(FSConfig(budget=30)).discover(Xs, Xt)
         assert 0.0 < partial.coverage < 1.0
         full = FNodeDiscovery().discover(Xs, Xt)
         assert full.coverage == 1.0
 
     def test_wall_clock_budget_runs_and_reports_coverage(self, scaled_pair):
         Xs, Xt = scaled_pair
-        result = FNodeDiscovery(budget_seconds=120.0).discover(Xs, Xt)
+        result = FNodeDiscovery(FSConfig(budget_seconds=120.0)).discover(Xs, Xt)
         assert 0.0 <= result.coverage <= 1.0
-
-    def test_budget_validation(self):
-        with pytest.raises(ValidationError):
-            FNodeDiscovery(budget=-1)
-        with pytest.raises(ValidationError):
-            FNodeDiscovery(budget_seconds=0.0)
 
 
 class TestFloat32Path:
     def test_variant_sets_match_float64_across_seeds(self):
         for seed in range(4):
             Xs, Xt = make_wide_pair(64, random_state=seed)
-            f64 = FNodeDiscovery(stats_dtype="float64").discover(Xs, Xt)
-            f32 = FNodeDiscovery(stats_dtype="float32").discover(Xs, Xt)
+            f64 = FNodeDiscovery(FSConfig(stats_dtype="float64")).discover(Xs, Xt)
+            f32 = FNodeDiscovery(FSConfig(stats_dtype="float32")).discover(Xs, Xt)
             np.testing.assert_array_equal(f64.variant_indices, f32.variant_indices)
 
     def test_variant_sets_match_on_5gc(self, scaled_pair, baseline):
         Xs, Xt = scaled_pair
-        f32 = FNodeDiscovery(stats_dtype="float32").discover(Xs, Xt)
+        f32 = FNodeDiscovery(FSConfig(stats_dtype="float32")).discover(Xs, Xt)
         np.testing.assert_array_equal(baseline.variant_indices, f32.variant_indices)
 
     def test_borderline_pvalues_are_verified_in_float64(self, scaled_pair):
@@ -192,20 +184,6 @@ class TestFloat32Path:
 
         with pytest.raises(ValidationError):
             CIEngine(np.zeros((5, 2)), np.zeros((4, 2)), stats_dtype="float16")
-        with pytest.raises(ValidationError):
-            CIEngine(
-                np.zeros((5, 2)), np.zeros((4, 2)),
-                stats_dtype="float32", multi_rhs=True,
-            )
-
-
-class TestMultiRhsLegacyMode:
-    def test_bit_identical_to_default_path(self, scaled_pair, baseline):
-        Xs, Xt = scaled_pair
-        legacy = FNodeDiscovery(multi_rhs=True).discover(Xs, Xt)
-        np.testing.assert_array_equal(baseline.p_values, legacy.p_values)
-        assert baseline.parent_sets == legacy.parent_sets
-        assert baseline.n_tests == legacy.n_tests
 
 
 class TestWideGenerator:
@@ -266,11 +244,17 @@ class TestFSConfigWideFields:
         with pytest.raises(ConfigurationError):
             FSConfig(budget_seconds=-1.0)
         with pytest.raises(ConfigurationError):
+            FSConfig(budget_seconds=0.0)
+        with pytest.raises(ConfigurationError):
             FSConfig(stats_dtype="float16")
         with pytest.raises(ConfigurationError, match="got 0"):
             FSConfig(n_jobs=0)
         with pytest.raises(ConfigurationError, match="got -3"):
             FSConfig(n_jobs=-3)
+        with pytest.raises(ConfigurationError, match="got True"):
+            FSConfig(n_jobs=True)
+        with pytest.raises(ConfigurationError, match="got 2.5"):
+            FSConfig(n_jobs=2.5)
 
     def test_separator_passes_wide_settings_through(self, scaled_pair):
         Xs, Xt = scaled_pair

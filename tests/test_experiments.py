@@ -108,6 +108,21 @@ class TestSharedArtifacts:
         shared.fsgan_predict("MLP", 1, 0)
         assert shared.separation(1, 0) is sep
 
+    def test_parallel_prebuild_reproduces_serial_artifacts(self, micro_preset):
+        bench = make_benchmark("5gc", micro_preset)
+        serial = SharedArtifacts(bench, micro_preset)
+        pooled = SharedArtifacts(bench, micro_preset, n_jobs=2)
+        pooled.prebuild(strategies=("gan",))
+        for shots in micro_preset.shots:
+            a, b = serial.separation(shots, 0), pooled.separation(shots, 0)
+            np.testing.assert_array_equal(a.variant_indices_, b.variant_indices_)
+            assert np.array_equal(a.result_.p_values, b.result_.p_values)
+            assert a.result_.parent_sets == b.result_.parent_sets
+            X_inv, _ = a.split(serial.Xs)
+            rec_a = serial.reconstructor(shots, 0, "gan")
+            rec_b = pooled.reconstructor(shots, 0, "gan")
+            assert np.array_equal(rec_a.reconstruct(X_inv), rec_b.reconstruct(X_inv))
+
 
 class TestRunTable1:
     def test_subset_grid(self, micro_preset):
