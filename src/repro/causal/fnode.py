@@ -23,8 +23,11 @@ Two engines are provided:
 The CI tests themselves run on :class:`repro.causal.engine.CIEngine`: the
 size-0 tests for all features are one batched sweep, the conditional tests
 share cached Cholesky factors per conditioning tuple, and the subset search
-optionally fans out over a process pool (``n_jobs``) with a deterministic
-feature-order merge.
+runs in cross-feature rounds — each round scores the next subset level of
+every unresolved feature in one statistics pass.  A p-value depends on its
+feature and conditioning set only, never on what it is batched with, so the
+rounds, a one-feature-at-a-time search and the optional process-pool
+fan-out (``n_jobs``, merged in feature order) report identical results.
 """
 
 from __future__ import annotations
@@ -60,9 +63,10 @@ from repro.utils.validation import check_array
 
 F_NODE = "F"
 
-#: features per child span in the discovery trace — coarse enough to keep
-#: traces small on 442-feature data, fine enough to localize the cost
-CI_BATCH_SIZE = 32
+#: task chunks per pool worker: each chunk runs its own search rounds, so
+#: fewer, larger chunks amortize the batched statistics while a few per
+#: worker still even out features of unequal search cost
+POOL_CHUNKS_PER_WORKER = 4
 
 
 @dataclass
@@ -187,10 +191,9 @@ class FNodeDiscovery:
 
         The variant set is always identical to a cold run's: the marginal
         sweep is re-run in full, the byte-for-byte-valid source-side cache
-        entries are reused, each feature's previous separating set is
-        tested first (with the full enumeration as fallback — the pruning
-        contract), and the searches are ordered by the previous run's
-        closest-to-clearing scores.  ``cache_stats_["mode"]`` reports
+        entries are reused, and each feature's previous separating set is
+        tested first, in the search's round 0 (with the full enumeration as
+        fallback — the pruning contract).  ``cache_stats_["mode"]`` reports
         ``"exact"`` for a warm run and ``"cold"`` for a fallback.
         """
         if warm is None:
@@ -304,8 +307,9 @@ class FNodeDiscovery:
         budgeted = self._budgeted
 
         # the FS span decomposes into CI-test-batch child spans (the batched
-        # marginal sweep, then chunks of conditional subset searches) so a
-        # trace shows where the dominant (§VI-D) discovery cost goes
+        # marginal sweep, then one span per search round, split into
+        # residual assembly and scoring) so a trace shows where the
+        # dominant (§VI-D) discovery cost goes
         with tracer.span(
             "fs.discover", n_features=d, n_jobs=self.n_jobs, warm=mode
         ) as fs_span:
@@ -344,13 +348,6 @@ class FNodeDiscovery:
                 # tight budgets spend their tests where clears are cheapest,
                 # and any budget's tests are a prefix of a larger budget's
                 tasks.sort(key=lambda t: (-t[3], t[0]))
-            elif priors is not None:
-                # prior closest-to-clearing scores order the remaining
-                # searches: cheap one-test confirmations first (result-
-                # neutral — features are independent; order affects only
-                # scheduling and cache locality)
-                prior_p = np.asarray(priors.p_values, dtype=np.float64)
-                tasks.sort(key=lambda t: (-float(prior_p[t[0]]), t[0]))
             searched, coverage = self._search(engine, tasks, tracer)
             for j, best_p, separating, n_cond, log, _completed in searched:
                 p_values[j] = best_p
@@ -438,56 +435,41 @@ class FNodeDiscovery:
         """Run the conditional subset searches, serially or in a process pool.
 
         Returns ``(rows, coverage)`` where each row is ``(j, best_p,
-        separating, n_tests, log, completed)``; the merge key is the feature
-        index, so worker scheduling cannot reorder results.  Budgeted runs
-        (test-count or wall-clock) are always serial: the budget is a global
-        countdown shared across features.
+        separating, n_tests, log, completed)``.  Unbudgeted searches run in
+        cross-feature rounds (:meth:`CIEngine.search`), in this process or
+        over contiguous task chunks in a process pool; every p-value is a
+        function of ``(j, S)`` only, so the grouping cannot change a result.
+        Budgeted runs (test-count or wall-clock) are serial and search one
+        feature per call: the budget is a global countdown spent in task
+        order.
         """
         if not tasks:
             return [], 1.0
-        chunks = [
-            tasks[start : start + CI_BATCH_SIZE]
-            for start in range(0, len(tasks), CI_BATCH_SIZE)
-        ]
-        results: list = []
         cfg = self.config
-        if self.n_jobs == 1 or self._budgeted:
+        search = {"alpha": cfg.alpha, "max_cond_size": cfg.max_cond_size}
+        if self._budgeted:
+            results: list = []
             remaining = cfg.budget
             deadline = (
                 time.perf_counter() + cfg.budget_seconds
                 if cfg.budget_seconds is not None
                 else None
             )
-            for chunk in chunks:
-                with tracer.span(
-                    "fs.ci_batch",
-                    feature_start=chunk[0][0],
-                    feature_stop=chunk[-1][0] + 1,
-                    stage="conditional",
-                ) as batch_span:
-                    batch_tests = 0
-                    for j, candidates, extra, marginal_p, prior_set in chunk:
-                        out = engine.search_feature(
-                            j,
-                            candidates,
-                            marginal_p,
-                            alpha=cfg.alpha,
-                            max_cond_size=cfg.max_cond_size,
-                            budget=remaining,
-                            deadline=deadline,
-                            extra_candidates=extra,
-                            prior_set=prior_set,
-                        )
-                        results.append((j, *out))
-                        batch_tests += out[2]
-                        if remaining is not None:
-                            remaining -= out[2]
-                    batch_span.tag(n_tests=batch_tests)
+            for task in tasks:
+                row = engine.search(
+                    [task], budget=remaining, deadline=deadline, **search
+                )[0]
+                results.append(row)
+                if remaining is not None:
+                    remaining -= row[3]
             coverage = sum(1 for row in results if row[5]) / len(tasks)
             return results, coverage
+        if self.n_jobs == 1:
+            return engine.search(tasks, **search), 1.0
+        size = -(-len(tasks) // (POOL_CHUNKS_PER_WORKER * self.n_jobs))
+        chunks = [tasks[start : start + size] for start in range(0, len(tasks), size)]
         params = {
-            "alpha": cfg.alpha,
-            "max_cond_size": cfg.max_cond_size,
+            **search,
             "stats_dtype": cfg.stats_dtype,
             # warm entries ride to every worker (read side); workers' new
             # entries stay worker-local — only the serial path accumulates
@@ -503,6 +485,7 @@ class FNodeDiscovery:
             if cfg.use_shared_memory
             else None
         )
+        results = []
         try:
             if shared is not None:
                 initializer, initargs = init_search_worker_shm, (shared.meta(), params)

@@ -20,10 +20,10 @@ handful of few-shot target rows.  Two observations make re-runs cheap:
    couples the cache with the previous :class:`~repro.causal.fnode.FNodeResult`
    (including the pre-search marginal p-values) so
    :meth:`~repro.causal.fnode.FNodeDiscovery.rediscover` can test old
-   separating sets first and order the remaining search by the previous
-   run's closest-to-clearing scores.  Neither shortcut changes a decision:
-   the marginal sweep is always re-run, so the variant set equals a cold
-   run's.
+   separating sets first, in the search's round 0.  Neither shortcut
+   changes a decision: the marginal sweep is always re-run and a prior set
+   that no longer clears falls back to the full enumeration, so the variant
+   set equals a cold run's.
 
 Both classes serialize to the flat ``{name: ndarray}`` + ``__meta__`` layout
 of the estimator protocol, so the warm state rides inside v2 artifact
