@@ -3,14 +3,13 @@
 A :class:`CausalGraph` holds a mixed graph: undirected edges (unresolved
 orientation) and directed edges.  It provides the operations constraint-based
 discovery needs — skeleton edits, v-structure orientation, Meek's rules —
-on top of plain adjacency sets (networkx is used only for export/analysis).
+on top of plain adjacency sets.  networkx is an optional dependency, imported
+only by :meth:`CausalGraph.to_networkx`.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import networkx as nx
 
 from repro.utils.errors import GraphError
 
@@ -165,8 +164,11 @@ class CausalGraph:
                         changed = True
 
     # -- export -------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a DiGraph; undirected edges become bidirected pairs."""
+    def to_networkx(self):
+        """Export as a ``networkx.DiGraph``; undirected edges become
+        bidirected pairs."""
+        import networkx as nx
+
         g = nx.DiGraph()
         g.add_nodes_from(self.nodes)
         for a, b, directed in self.edges():

@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="HTTP port (0 = ephemeral; default 8350)")
     daemon.add_argument("--max-batch-rows", type=int, default=256,
                         metavar="N",
-                        help="micro-batch capacity in rows (default 256)")
+                        help="largest request or coalesced micro-batch "
+                        "in rows (default 256)")
     daemon.add_argument("--max-wait-ms", type=float, default=2.0,
                         metavar="MS",
                         help="idle linger before scoring an uncoalesced "

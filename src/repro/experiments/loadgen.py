@@ -319,10 +319,10 @@ def replay_capture(root, capture, *, micro_batch_rows: int,
 
     Loads every tenant fresh from ``root`` (restoring the artifact's
     saved RNG state, exactly like the daemon's first load) and replays
-    each tenant's captured requests one at a time in ``seq`` order.  The
-    padded capacity must match the live run's ``micro_batch_rows`` —
-    padded execution is bit-stable only at a fixed capacity.  A return of
-    exactly ``0.0`` proves the micro-batched daemon results equal
+    each tenant's captured requests one at a time in ``seq`` order, each
+    under ``capacity=micro_batch_rows`` (a padded execution; any capacity
+    that admits the captured requests gives the same results).  A return
+    of exactly ``0.0`` proves the micro-batched daemon results equal
     per-request scoring bit for bit.
     """
     from repro.serve.registry import PlanCache

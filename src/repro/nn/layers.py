@@ -11,10 +11,11 @@ Shapes are ``(batch, features)`` throughout.  This substrate replaces PyTorch
 
 **Buffer ownership (fused engine).**  Layers write activations, masks and
 input gradients into preallocated :class:`~repro.nn.workspace.Workspace`
-buffers keyed by batch shape, and ``backward`` writes parameter gradients
-into the *existing* ``grads`` arrays (``out=`` ufunc forms throughout), so
-after the first minibatch of a given shape a training step allocates
-nothing.  The contract this buys:
+buffers (one grow-only buffer per tensor, a prefix view for a smaller
+batch), and ``backward`` writes parameter gradients into the *existing*
+``grads`` arrays (``out=`` ufunc forms throughout), so after the first
+minibatch of the largest size a training step allocates nothing.  The
+contract this buys:
 
 - an array returned by ``layer.forward``/``layer.backward`` is owned by that
   layer and valid only until its **next** forward/backward call — model-level
@@ -38,6 +39,9 @@ from repro.nn.initializers import get_initializer, zeros
 from repro.nn.workspace import Workspace
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_random_state
+
+#: rows per GEMM of an inference-mode :class:`Dense` forward (see there)
+ROW_TILE = 16
 
 
 class Layer:
@@ -72,7 +76,17 @@ class Layer:
 
 
 class Dense(Layer):
-    """Fully connected layer ``y = x @ W + b``."""
+    """Fully connected layer ``y = x @ W + b``.
+
+    Inference (``training=False``) on a row count that is a multiple of
+    :data:`ROW_TILE` runs the product as a stack of ``ROW_TILE``-row GEMMs.
+    BLAS row results can change with the GEMM's row count M, so this makes
+    each row's output a function of its own input alone: ``n`` rows scored
+    together equal ``n / ROW_TILE`` separate ``ROW_TILE``-row calls bit for
+    bit.  Padded serving (:meth:`repro.serve.plan.InferencePlan.execute`)
+    builds its coalescing guarantee on this.  Training keeps one GEMM per
+    minibatch.
+    """
 
     def __init__(
         self,
@@ -104,8 +118,15 @@ class Dense(Layer):
             )
         self._x = x
         W, b = self.params["W"], self.params["b"]
-        out = self._ws.get("out", (x.shape[0], self.out_features), W.dtype)
-        np.matmul(x, W, out=out)
+        rows = x.shape[0]
+        out = self._ws.get("out", (rows, self.out_features), W.dtype)
+        if not training and rows > ROW_TILE and rows % ROW_TILE == 0:
+            # one GEMM per ROW_TILE-row slice: every row is computed inside
+            # an M=ROW_TILE call, whatever else shares the batch
+            np.matmul(x.reshape(-1, ROW_TILE, self.in_features), W,
+                      out=out.reshape(-1, ROW_TILE, self.out_features))
+        else:
+            np.matmul(x, W, out=out)
         out += b
         return out
 

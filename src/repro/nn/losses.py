@@ -4,8 +4,8 @@ Each loss exposes ``forward(prediction, target) -> float`` and
 ``backward() -> np.ndarray`` returning the gradient w.r.t. the prediction,
 already divided by the batch size so optimizers see mean gradients.
 
-Like the layers, losses keep shape-keyed workspace buffers: after the first
-batch of a given shape, ``forward``/``backward`` allocate nothing, and the
+Like the layers, losses keep grow-only workspace buffers: after the first
+batch of the largest size, ``forward``/``backward`` allocate nothing, and the
 float64 results are bit-identical to the pre-fusion forms (same ufuncs, same
 operation order).  The array returned by ``backward`` is owned by the loss
 and valid until its next ``forward`` call.

@@ -6,19 +6,22 @@ the head of one tenant's queue into a micro-batch of at most
 ``micro_batch_rows`` rows, optionally lingering ``max_wait`` seconds when
 it is otherwise idle, and scores it with
 ``plan.execute(segments, capacity=micro_batch_rows)`` on the tenant's
-cached :class:`~repro.serve.plan.InferencePlan`.
+cached :class:`~repro.serve.plan.InferencePlan`.  ``micro_batch_rows`` is
+the admission and coalescing bound, not the executed row count.
 
 Two choices exist for one reason: **bit-identity across coalescing
 patterns**.  Every execution — a single request or a coalesced
-micro-batch — runs the plan's stages at exactly ``micro_batch_rows`` rows
-(zero-padded, results sliced back per request), and noise is drawn with
-one RNG call per request in admission order.  BLAS GEMM row results are
-*not* stable across batch sizes (an M=1 call can differ from the same row
-inside an M=64 call in the last ULP), but zero-padding to a fixed M is
-exact — a padded row can never perturb another row through elementwise
-ops, row-broadcast BatchNorm inference statistics, or row-wise matmuls.
-Scoring requests ``[A, B]`` coalesced is therefore bit-identical to
-scoring ``[A]`` then ``[B]``, whatever the sizes.  A single scorer keeps
+micro-batch — runs the plan's stages on its live rows zero-padded to the
+next multiple of ``ROW_TILE`` (16) rows, results sliced back per request,
+and noise is drawn with one RNG call per request in admission order.  BLAS
+GEMM row results are *not* stable across batch sizes (an M=1 call can
+differ from the same row inside an M=64 call in the last ULP), so the
+inference ``Dense`` forward runs every GEMM on fixed 16-row slices; the
+remaining ops are elementwise or row-wise, so a padded row can never
+perturb another row.  Scoring requests ``[A, B]`` coalesced is therefore
+bit-identical to scoring ``[A]`` then ``[B]``, whatever the sizes.  The
+executed row count is ``stats()["padded_rows"]``; ``rows / padded_rows``
+is the live share.  A single scorer keeps
 each tenant's RNG consumption deterministic: per-tenant scoring order
 equals per-tenant admission order (the ``seq`` number on every request),
 so a run can be replayed request-by-request bit for bit.
@@ -37,6 +40,7 @@ from collections import deque
 import numpy as np
 
 from repro.obs.metrics import get_metrics
+from repro.serve.plan import padded_rows
 from repro.utils.errors import ValidationError
 
 __all__ = ["MicroBatcher", "PendingRequest"]
@@ -88,13 +92,14 @@ class MicroBatcher:
     cache:
         A :class:`~repro.serve.registry.PlanCache`; tenants resolve to
         compiled plans through it (LRU + hot reload); its
-        ``micro_batch_rows`` is the padded capacity of every execution.
+        ``micro_batch_rows`` bounds the rows of every request and
+        micro-batch.
     max_wait:
         Linger budget in seconds: when the scorer picks up a lone request
         and no other tenant has work queued, it waits up to this long for
         same-tenant arrivals to coalesce with.  0 disables lingering.
     coalesce:
-        False scores every request in its own (still padded) micro-batch —
+        False scores every request in its own (still padded) execution —
         the daemon's per-request baseline mode, used by the sustained
         benchmark as the "before" side.
     """
@@ -117,6 +122,7 @@ class MicroBatcher:
         self.batches = 0
         self.requests = 0
         self.rows = 0
+        self.padded_rows = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -210,7 +216,7 @@ class MicroBatcher:
                 if (len(self._order) == 0 and not queue and not self._stop
                         and self.max_wait > 0.0 and rows < capacity):
                     # idle linger: give same-tenant arrivals one chance to
-                    # coalesce before paying a full padded execution
+                    # coalesce before paying an execution of its own
                     self._cond.wait(self.max_wait)
                     while queue and rows + queue[0].X.shape[0] <= capacity:
                         pending = queue.popleft()
@@ -249,11 +255,14 @@ class MicroBatcher:
                 self._shadow_score(shadow, batch, probas, entry)
             now = time.perf_counter()
             rows = sum(p.X.shape[0] for p in batch)
+            executed = padded_rows(rows)
             self.batches += 1
             self.requests += len(batch)
             self.rows += rows
+            self.padded_rows += executed
             if registry.enabled:
                 registry.counter("daemon.batches_total").inc()
+                registry.counter("daemon.padded_rows_total").inc(executed)
                 registry.histogram("daemon.batch_rows").observe(rows)
                 registry.histogram("daemon.batch_requests").observe(len(batch))
                 registry.histogram("daemon.batch_seconds").observe(now - t0)
@@ -308,6 +317,7 @@ class MicroBatcher:
             "batches": self.batches,
             "requests": self.requests,
             "rows": self.rows,
+            "padded_rows": self.padded_rows,
             "queue_depth": depth,
             "mean_batch_rows": self.rows / self.batches if self.batches else 0.0,
             "mean_batch_requests": (

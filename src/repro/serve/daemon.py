@@ -3,7 +3,8 @@
 Ties the serving plane together: a :class:`~repro.serve.registry.PlanCache`
 (LRU of compiled tenant plans with sha256-validated hot reload) feeding a
 :class:`~repro.serve.batcher.MicroBatcher` (per-tenant FIFO coalescing into
-fixed-capacity padded micro-batches), optionally fronted by a
+micro-batches of at most ``micro_batch_rows`` rows, each executed padded to
+the next multiple of 16 rows), optionally fronted by a
 :class:`~repro.serve.server.DaemonHTTPServer` and a Prometheus exposition
 endpoint.  The daemon always runs under a live metrics registry (a private
 one is installed when the caller has none), so request/batch/queue
@@ -44,7 +45,9 @@ class DaemonConfig:
     #: HTTP port (0 = ephemeral); None disables the HTTP front entirely
     port: int | None = 0
     n_draws: int = 1
-    #: fixed padded capacity of every micro-batch (rows)
+    #: admission and coalescing bound of a request or micro-batch (rows);
+    #: not the executed row count, which is the live rows padded to a
+    #: multiple of 16
     micro_batch_rows: int = DEFAULT_CAPACITY
     #: idle linger before scoring an uncoalesced request (seconds)
     max_wait: float = 0.002
@@ -311,7 +314,8 @@ def format_daemon_summary(stats: dict) -> str:
         f"served {batcher.get('requests', 0)} requests "
         f"({batcher.get('rows', 0)} rows) in {batcher.get('batches', 0)} "
         f"micro-batches (mean fill {batcher.get('mean_batch_rows', 0.0):.1f} "
-        f"rows, {batcher.get('mean_batch_requests', 0.0):.1f} requests)",
+        f"rows, {batcher.get('mean_batch_requests', 0.0):.1f} requests, "
+        f"{batcher.get('padded_rows', 0)} rows executed)",
         f"cache: {cache.get('hits', 0)} hits / {cache.get('misses', 0)} "
         f"misses / {cache.get('evictions', 0)} evictions / "
         f"{cache.get('reloads', 0)} hot reloads "

@@ -9,8 +9,11 @@ buffers.  At float64 the plan's probabilities are **bit-identical** to
 tolerance contract (see EXPERIMENTS.md).
 
 :meth:`InferencePlan.execute` holds the only copy of that chain.  It scores
-a list of request blocks at a fixed, zero-padded row capacity, drawing
-noise once per block — the daemon's bit-exact micro-batch path.
+a list of request blocks in one pass, drawing noise once per block — the
+daemon's bit-exact micro-batch path.  Under a row capacity the blocks are
+zero-padded to the next multiple of :data:`~repro.nn.layers.ROW_TILE`
+rows, so every generator and classifier GEMM runs on fixed 16-row slices
+and a row's result never depends on what shares its batch.
 ``predict_proba`` and ``transform`` are the same chain without padding.
 
 The plan owns a *clone* of the reconstruction model's RNG, snapshotted at
@@ -28,13 +31,14 @@ import numpy as np
 from repro.gan.autoencoder import VanillaAutoencoder
 from repro.gan.cgan import ConditionalGAN
 from repro.gan.vae import ConditionalVAE
+from repro.nn.layers import ROW_TILE
 from repro.nn.workspace import Workspace
 from repro.obs.metrics import get_metrics
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_is_fitted
 
-__all__ = ["InferencePlan", "clone_rng", "fast_forward_rng"]
+__all__ = ["InferencePlan", "clone_rng", "fast_forward_rng", "padded_rows"]
 
 #: ``serve.stage_seconds`` labels, in chain order
 _STAGES = ("scale", "split", "generate", "merge", "predict")
@@ -45,6 +49,17 @@ def _lap(laps: list, t0: float) -> float:
     t1 = time.perf_counter()
     laps.append(t1 - t0)
     return t1
+
+
+def padded_rows(rows: int) -> int:
+    """Rows a capacity-bounded execution of ``rows`` live rows runs.
+
+    The next multiple of :data:`~repro.nn.layers.ROW_TILE`: the inference
+    ``Dense`` forward then computes every row inside a ``ROW_TILE``-row
+    GEMM, which is what makes coalesced scoring bit-identical to scoring
+    each request alone.
+    """
+    return -(-int(rows) // ROW_TILE) * ROW_TILE
 
 
 def clone_rng(rng: np.random.Generator) -> np.random.Generator:
@@ -82,9 +97,10 @@ def fast_forward_rng(plan: "InferencePlan", n_values: int) -> "InferencePlan":
 class InferencePlan:
     """Preallocated batch scorer compiled from a fitted :class:`FSGANPipeline`.
 
-    Stage buffers live in a plan-owned :class:`Workspace`; after the first
-    batch of a given size the plan allocates nothing but the downstream
-    model's own output.  Build via :meth:`FSGANPipeline.compile`.
+    Stage buffers live in a plan-owned :class:`Workspace` (one grow-only
+    buffer per stage); once a batch of the largest size has run, the plan
+    allocates nothing but the downstream model's own output.  Build via
+    :meth:`FSGANPipeline.compile`.
     """
 
     def __init__(self, pipeline, *, n_draws: int = 1) -> None:
@@ -178,9 +194,9 @@ class InferencePlan:
                            sizes: list[int]) -> np.ndarray:
         """Variant block for every row, drawing noise once per segment."""
         recon, ws, n_draws = self._recon, self._ws, self.n_draws
-        capacity = X_inv.shape[0]
+        rows = X_inv.shape[0]
         if isinstance(recon, VanillaAutoencoder):
-            var_hat = ws.get("var_hat", (capacity, self._n_var))
+            var_hat = ws.get("var_hat", (rows, self._n_var))
             var_hat[...] = recon.network_.forward(X_inv, training=False)
             return var_hat
         if isinstance(recon, ConditionalGAN):
@@ -188,11 +204,11 @@ class InferencePlan:
         elif isinstance(recon, ConditionalVAE):
             network, code_dim = recon.decoder_, recon.latent_dim
         else:  # identity reconstructor (empty variant block)
-            return ws.zeros("var_hat", (capacity, self._n_var))
+            return ws.zeros("var_hat", (rows, self._n_var))
         dt = getattr(recon, "_dtype", np.dtype(np.float64))
         n_inv = self._n_inv
-        g_in = ws.get("g_in", (n_draws * capacity, n_inv + code_dim), dt)
-        z = ws.get("z", (n_draws * capacity, code_dim), np.float64)
+        g_in = ws.get("g_in", (n_draws * rows, n_inv + code_dim), dt)
+        z = ws.get("z", (n_draws * rows, code_dim), np.float64)
         off = 0
         for n in sizes:
             g_off = n_draws * off
@@ -209,7 +225,7 @@ class InferencePlan:
             off += n
         g_in[n_draws * off:] = 0.0
         out = network.forward(g_in, training=False)
-        var_hat = ws.zeros("var_hat", (capacity, self._n_var))
+        var_hat = ws.zeros("var_hat", (rows, self._n_var))
         off = 0
         for n in sizes:
             g_off = n_draws * off
@@ -231,23 +247,27 @@ class InferencePlan:
         return merged
 
     def _stack(self, segments, capacity: int | None):
-        """Validate segments into one ``capacity``-row zero-padded matrix.
+        """Validate segments into one zero-padded matrix.
 
-        Returns ``(X, sizes)``; ``capacity=None`` means the total row count.
+        Returns ``(X, sizes)``.  ``capacity`` bounds the live row count and
+        switches on padding to :func:`padded_rows`; ``None`` means no bound
+        and no padding.
         """
         segments = [self.check_request(seg, capacity=capacity)
                     for seg in segments]
         sizes = [seg.shape[0] for seg in segments]
         m = sum(sizes)
         if capacity is None:
-            capacity = m
+            rows = m
         elif m > capacity:
             raise ValidationError(
                 f"micro-batch of {m} rows exceeds capacity {capacity}"
             )
-        if len(segments) == 1 and m == capacity:
+        else:
+            rows = padded_rows(m)
+        if len(segments) == 1 and m == rows:
             return segments[0], sizes
-        X = self._ws.get("padded", (capacity, self._n_features))
+        X = self._ws.get("padded", (rows, self._n_features))
         off = 0
         for seg, n in zip(segments, sizes):
             X[off:off + n] = seg
@@ -311,18 +331,23 @@ class InferencePlan:
                 capacity: int | None = None) -> list[np.ndarray]:
         """Score request row blocks in one pass; one proba array per block.
 
-        The chain runs at exactly ``capacity`` rows (zero-padded; None
-        means the total row count, i.e. no padding) and draws noise once
-        per segment in list order.  At a fixed capacity each row's result
-        is therefore a pure function of its input and its segment's draws:
-        scoring ``[A, B]`` together is bit-identical to ``[A]`` then
-        ``[B]`` (see DESIGN.md, "Micro-batch coalescing").
+        ``capacity`` bounds the total row count (a larger batch raises
+        :class:`ValidationError`); it is not the executed row count.  With
+        a capacity the chain runs at ``padded_rows(total)`` rows — zero
+        rows appended up to the next multiple of ``ROW_TILE`` — so every
+        generator and classifier GEMM runs on ``ROW_TILE``-row slices;
+        ``None`` runs the total row count unpadded.  Noise is drawn once
+        per segment in list order.  Each row's result is therefore a pure
+        function of its input and its segment's draws: scoring ``[A, B]``
+        together is bit-identical to ``[A]`` then ``[B]``, at any capacity
+        that admits them (see DESIGN.md, "Micro-batch coalescing").
         """
         if not segments:
             return []
         t0 = time.perf_counter()
         X, sizes = self._stack(segments, capacity)
         with get_tracer().span("serve.batch", n_samples=sum(sizes),
+                               padded_rows=X.shape[0],
                                requests=len(sizes)):
             proba = self._chain(X, sizes, predict=True)
         out, off = [], 0

@@ -5,8 +5,10 @@ each, the paper's deployment shape — out of a directory of versioned
 ``.npz`` bundles (``<root>/<tenant>.npz``, the ``ArtifactStore`` layout).
 :class:`PlanCache` keeps at most ``capacity`` tenants hot: each entry is a
 loaded artifact compiled into an :class:`~repro.serve.plan.InferencePlan`.
-``micro_batch_rows`` is the fixed capacity every micro-batch execution pads
-to (``plan.execute(segments, capacity=micro_batch_rows)``).
+``micro_batch_rows`` is the admission and coalescing bound of every
+request and micro-batch (``plan.execute(segments,
+capacity=micro_batch_rows)``), not the executed row count: an execution
+runs its live rows padded to the next multiple of 16.
 
 Reload semantics:
 
@@ -54,7 +56,7 @@ from repro.utils.errors import ArtifactError, ValidationError
 
 __all__ = ["PlanCache", "ShadowState", "TenantEntry"]
 
-#: default fixed row capacity of a padded micro-batch execution
+#: default row bound of a request or coalesced micro-batch
 DEFAULT_CAPACITY = 256
 
 #: tenant names are path components; keep them boring and traversal-proof
@@ -114,8 +116,10 @@ class PlanCache:
     n_draws:
         Monte-Carlo draws per sample for every compiled plan.
     micro_batch_rows:
-        Fixed row capacity every execution of a tenant's plan pads to (and
-        therefore the daemon's maximum micro-batch size).
+        The daemon's maximum request and micro-batch size in rows, passed
+        as ``capacity`` to every execution of a tenant's plan.  It bounds
+        admission and coalescing; an execution runs its live rows padded
+        to the next multiple of 16, whatever this value.
     """
 
     def __init__(self, root, *, capacity: int = 8, n_draws: int = 1,

@@ -257,6 +257,17 @@ class TestStageMetrics:
             line = f'serve_stage_seconds_count{{stage="{stage}"}} 1\n'
             assert line.encode() in body, stage
 
+    def test_padded_rows_count_executed_rows(self, tenant_root):
+        root, names, X_test = tenant_root
+        with ServeDaemon(_config(root)) as daemon:
+            daemon.score(names[0], X_test[:2])    # runs 16 rows
+            daemon.score(names[0], X_test[:17])   # runs 32 rows
+            batcher = daemon.stats()["batcher"]
+            _, body = _get(f"{daemon.url}/metrics")
+        assert batcher["rows"] == 19
+        assert batcher["padded_rows"] == 48
+        assert b"daemon_padded_rows_total 48" in body
+
 
 class _CountingWriter:
     """Socket-writer proxy recording every write a handler makes."""
