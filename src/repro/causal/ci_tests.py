@@ -17,6 +17,7 @@ Three tests cover the cases the framework needs:
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -44,6 +45,41 @@ def _observe_ci_test(registry, kind: str, cond_size: int, p: float, seconds: flo
 #: supported KS tail evaluations (see :func:`ks_pvalue`)
 KS_PVALUE_MODES = ("exact", "stephens")
 
+#: most exact KS tails the process-wide memo of :func:`ks_pvalue` holds; the
+#: oldest entries are dropped first once it is full
+KS_TAIL_MEMO_MAX = 1 << 16
+_KS_TAIL_MEMO: dict[tuple[float, float], float] = {}
+_KS_TAIL_LOCK = threading.Lock()
+
+
+def _kstwo_sf(stat, n: float):
+    """``clip(kstwo.sf(stat, n), 0, 1)``, evaluating each distinct D once.
+
+    A two-sample D is a multiple of ``1 / lcm(n1, n2)``, so one discovery
+    run sees few distinct values, and scipy's exact small-``n`` tail costs
+    about a millisecond each.  Tails are memoized process-wide by
+    ``(n, D)``; a miss is evaluated by the same scipy call, so the result
+    is bitwise what the unmemoized call returns.  Non-finite D is never
+    stored.
+    """
+    d = np.asarray(stat, dtype=np.float64)
+    uniq, inverse = np.unique(d.reshape(-1), return_inverse=True)
+    keys = [(n, float(v)) for v in uniq]
+    with _KS_TAIL_LOCK:
+        tails = [_KS_TAIL_MEMO.get(key) for key in keys]
+    missing = [i for i, tail in enumerate(tails) if tail is None]
+    if missing:
+        fresh = np.clip(stats.kstwo.sf(uniq[missing], n), 0.0, 1.0)
+        with _KS_TAIL_LOCK:
+            for i, tail in zip(missing, fresh.tolist()):
+                tails[i] = tail
+                if np.isfinite(uniq[i]):
+                    _KS_TAIL_MEMO[keys[i]] = tail
+            while len(_KS_TAIL_MEMO) > KS_TAIL_MEMO_MAX:
+                del _KS_TAIL_MEMO[next(iter(_KS_TAIL_MEMO))]
+    out = np.array(tails, dtype=np.float64)[inverse].reshape(d.shape)
+    return out if d.ndim else out[()]
+
 
 def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
     """Two-sample KS tail probability for D statistic(s) ``stat``.
@@ -56,7 +92,9 @@ def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
     - ``mode="exact"``: the Kolmogorov-Smirnov survival function at the
       scipy-rounded effective sample size — bit-identical to
       ``scipy.stats.ks_2samp(method="asymp")``, routing into scipy's exact
-      small-``n`` evaluation at few-shot sample sizes.
+      small-``n`` evaluation at few-shot sample sizes.  Each distinct
+      ``(n, D)`` is evaluated once per process (bounded memo, see
+      :data:`KS_TAIL_MEMO_MAX`).
     - ``mode="stephens"``: the limiting Kolmogorov distribution at the
       Stephens-corrected argument — within ~1e-3 of the exact tail at these
       sample sizes and orders of magnitude cheaper; the float32 fast path
@@ -71,7 +109,7 @@ def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
     big, small = float(max(n, m)), float(min(n, m))
     en = big * small / (big + small)
     if mode == "exact":
-        return np.clip(stats.kstwo.sf(stat, np.round(en)), 0.0, 1.0)
+        return _kstwo_sf(stat, float(np.round(en)))
     root = np.sqrt(en)
     return np.clip(
         stats.kstwobign.sf((root + 0.12 + 0.11 / root) * np.asarray(stat)), 0.0, 1.0

@@ -29,6 +29,11 @@ class VariantReconstructor(Estimator):
     inference it maps a target sample's invariant features to source-like
     variant values (Eq. 10), which is what removes the drift from the
     variant block without discarding its information content.
+
+    The model trains and serves in ``config.dtype``: float32 unless the
+    config asks for float64.  The estimator classes it builds keep their own
+    float64 default, so code that constructs them directly stays on the
+    exact reference path.
     """
 
     _fitted_attr = "model_"

@@ -4,9 +4,9 @@
 scale → split variant/invariant → batched MC generator forward → merge →
 downstream ``predict_proba`` — into an :class:`InferencePlan` that replays
 the exact ufunc sequence of the live pipeline into preallocated workspace
-buffers.  At float64 the plan's probabilities are **bit-identical** to
-``FSGANPipeline.predict_proba``; at float32 they match within the fused-path
-tolerance contract (see EXPERIMENTS.md).
+buffers.  The plan's probabilities are **bit-identical** to
+``FSGANPipeline.predict_proba`` at both reconstruction dtypes, float32 (the
+default) and float64.
 
 :meth:`InferencePlan.execute` holds the only copy of that chain.  It scores
 a list of request blocks in one pass, drawing noise once per block — the
@@ -381,7 +381,7 @@ class InferencePlan:
         return self._chain(X, sizes, predict=False)
 
     def predict_proba(self, X) -> np.ndarray:
-        """Class probabilities; bit-identical (float64) to the live pipeline."""
+        """Class probabilities; bit-identical to the live pipeline."""
         return self.execute([X])[0]
 
     def labels(self, proba: np.ndarray) -> np.ndarray:

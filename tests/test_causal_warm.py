@@ -5,12 +5,15 @@ packed serialized layout (bit-exact round trips, a member count that does
 not grow with the entries), the serialized :class:`WarmState`,
 :meth:`FNodeDiscovery.rediscover` against the cold baseline across every
 fan-out path, the guard-mismatch cold fallbacks, the ``fs.cache.*`` metric
-export, the intra-level wall-clock deadline fix, the deduplicated
-:func:`ks_pvalue` tails, and the ``--warm`` benchmark runner + oracle.
+export, the intra-level wall-clock deadline fix, the deduplicated and
+memoized :func:`ks_pvalue` tails, and the ``--warm`` benchmark runner +
+oracle.
 """
 
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.causal import (
     WarmState,
     matrix_fingerprint,
 )
+from repro.causal import ci_tests
 from repro.causal.ci_tests import KS_PVALUE_MODES, ks_pvalue
 from repro.causal.engine import DEADLINE_CHUNK, CIEngine
 from repro.causal.warm import state_version
@@ -93,6 +97,90 @@ class TestKsPvalue:
         assert "exact" in KS_PVALUE_MODES
         with pytest.raises(ValidationError):
             ks_pvalue(0.3, 100, 30, mode="approximate")
+
+
+class TestKsTailMemo:
+    """The exact tail is memoized by (rounded n, D); it must stay scipy's."""
+
+    @staticmethod
+    def _scipy(d, n, m):
+        en = np.round(max(n, m) * min(n, m) / (n + m))
+        return np.clip(scipy_stats.kstwo.sf(d, en), 0.0, 1.0)
+
+    @pytest.mark.parametrize("n,m", [(480, 120), (480, 24), (50, 7), (800, 10)])
+    def test_grid_bitwise_equal_to_scipy_cold_and_warm(self, rng, n, m):
+        ci_tests._KS_TAIL_MEMO.clear()
+        lcm = np.lcm(n, m)
+        # attainable statistics (repeated multiples of 1/lcm) mixed with
+        # arbitrary floats, some shared between the two calls
+        grid = np.concatenate([rng.integers(0, lcm + 1, 300) / lcm,
+                               rng.random(40)])
+        rng.shuffle(grid)
+        cold = ks_pvalue(grid, n, m, mode="exact")
+        warm = ks_pvalue(grid.reshape(20, -1), n, m, mode="exact")
+        ref = self._scipy(grid, n, m)
+        assert cold.dtype == ref.dtype == np.float64
+        np.testing.assert_array_equal(cold.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(
+            warm.view(np.int64), ref.reshape(20, -1).view(np.int64))
+        assert len(ci_tests._KS_TAIL_MEMO) == len(np.unique(grid))
+
+    def test_scalar_path_bitwise_equal_to_scipy(self, rng):
+        for n, m in ((480, 120), (50, 7)):
+            for d in rng.integers(0, np.lcm(n, m) + 1, 25) / np.lcm(n, m):
+                for _ in range(2):  # miss, then hit
+                    got = ks_pvalue(float(d), n, m, mode="exact")
+                    assert isinstance(got, np.float64)
+                    assert got == self._scipy(float(d), n, m)
+
+    def test_non_finite_statistics_pass_through_unstored(self):
+        ci_tests._KS_TAIL_MEMO.clear()
+        d = np.array([np.nan, 0.25, np.inf, np.nan])
+        got = ks_pvalue(d, 100, 30, mode="exact")
+        np.testing.assert_array_equal(got, self._scipy(d, 100, 30))
+        assert len(ci_tests._KS_TAIL_MEMO) == 1
+
+    def test_memo_size_is_bounded(self, monkeypatch):
+        ci_tests._KS_TAIL_MEMO.clear()
+        monkeypatch.setattr(ci_tests, "KS_TAIL_MEMO_MAX", 16)
+        grid = np.arange(1, 101) / 200
+        for chunk in np.split(grid, 5):
+            got = ks_pvalue(chunk, 200, 60, mode="exact")
+            np.testing.assert_array_equal(got, self._scipy(chunk, 200, 60))
+            assert len(ci_tests._KS_TAIL_MEMO) <= 16
+        # the newest entries are the ones kept
+        assert (float(np.round(200 * 60 / 260)), float(grid[-1])) in ci_tests._KS_TAIL_MEMO
+
+    def test_threads_share_the_memo_safely(self, monkeypatch):
+        ci_tests._KS_TAIL_MEMO.clear()
+        monkeypatch.setattr(ci_tests, "KS_TAIL_MEMO_MAX", 8)
+        grids = [np.arange(k, k + 24) / 120 for k in range(0, 48, 6)]
+        refs = [self._scipy(g, 120, 40) for g in grids]
+        errors = []
+
+        def work(i):
+            try:
+                for _ in range(20):
+                    got = ks_pvalue(grids[i], 120, 40, mode="exact")
+                    if not np.array_equal(got, refs[i]):
+                        errors.append(i)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(len(grids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(ci_tests._KS_TAIL_MEMO) <= 8
 
 
 class TestCIStatCache:

@@ -1,9 +1,10 @@
 """Compiled inference plans and the serve runtime.
 
-The load-bearing contract: at float64 a compiled plan's ``predict_proba``
-is bit-identical to the live pipeline's — in this process, across
-successive batches (the RNG streams advance in lockstep), and across a
-save → fresh-interpreter → compile → score cycle.
+The load-bearing contract: at float64 and at float32 (the default
+reconstruction dtype) a compiled plan's ``predict_proba`` is bit-identical
+to the live pipeline's — in this process, across successive batches (the
+RNG streams advance in lockstep), and across a save → fresh-interpreter →
+compile → score cycle.
 """
 
 import json
@@ -29,12 +30,13 @@ def fast_mlp():
     return MLPClassifier(hidden_sizes=(16,), epochs=8, random_state=0)
 
 
-def _fit(tiny_5gc, strategy="gan"):
+def _fit(tiny_5gc, strategy="gan", dtype="float32"):
     X_few, _, X_test, _ = tiny_5gc.few_shot_split(5, random_state=0)
     pipe = FSGANPipeline(
         fast_mlp,
         reconstruction_config=ReconstructionConfig(
-            strategy=strategy, epochs=2, noise_dim=2, hidden_size=8),
+            strategy=strategy, epochs=2, noise_dim=2, hidden_size=8,
+            dtype=dtype),
         random_state=0,
     ).fit(tiny_5gc.X_source, tiny_5gc.y_source, X_few)
     return pipe, X_test
@@ -245,21 +247,41 @@ np.save(sys.argv[3], plan.predict_proba(X))
 
 
 class TestCrossProcessBitIdentity:
-    def test_fresh_process_compiled_plan_matches(self, tiny_5gc, tmp_path):
-        """The PR's acceptance criterion: train here, save, reload in a
-        fresh interpreter with no training config, compile, score — and get
-        float64 bit-identical probabilities."""
-        pipe, X_test = _fit(tiny_5gc)
+    @staticmethod
+    def _score_in_fresh_process(pipe, X, tmp_path):
         save_artifact(pipe, tmp_path / "pipe.npz",
                       provenance={"dataset": "5gc", "seed": 0})
         # expected AFTER save: both sides consume from the saved RNG state
-        expected = pipe.predict_proba(X_test[:24])
-        np.save(tmp_path / "batch.npy", X_test[:24])
+        expected = pipe.predict_proba(X)
+        np.save(tmp_path / "batch.npy", X)
         subprocess.run(
             [sys.executable, "-c", _CHILD, str(tmp_path / "pipe.npz"),
              str(tmp_path / "batch.npy"), str(tmp_path / "got.npy")],
             check=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=600,
         )
-        got = np.load(tmp_path / "got.npy")
+        return np.load(tmp_path / "got.npy"), expected
+
+    def test_fresh_process_compiled_plan_matches(self, tiny_5gc, tmp_path):
+        """The PR's acceptance criterion: train here, save, reload in a
+        fresh interpreter with no training config, compile, score — and get
+        float64 bit-identical probabilities."""
+        pipe, X_test = _fit(tiny_5gc, dtype="float64")
+        got, expected = self._score_in_fresh_process(pipe, X_test[:24], tmp_path)
         assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, expected)
+
+    def test_float32_plan_matches_in_process_and_after_reload(
+            self, tiny_5gc, tmp_path):
+        """float32 reconstruction, the default: the compiled plan equals the
+        pipeline bitwise in this process and after a save → fresh
+        interpreter → compile → score cycle."""
+        pipe, X_test = _fit(tiny_5gc)
+        assert pipe.reconstructor_.model_.dtype == "float32"
+        plan = pipe.compile()
+        for lo, hi in ((0, 32), (32, 48)):
+            np.testing.assert_array_equal(
+                plan.predict_proba(X_test[lo:hi]),
+                pipe.predict_proba(X_test[lo:hi]))
+        got, expected = self._score_in_fresh_process(pipe, X_test[:24], tmp_path)
+        assert got.dtype == expected.dtype
         np.testing.assert_array_equal(got, expected)

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from repro.core.artifacts import load_artifact, save_artifact
 from repro.serve import PlanCache
 from repro.utils.errors import ArtifactError
 
@@ -86,9 +87,14 @@ class TestHotReload:
     def test_pointer_flip_between_equal_size_bundles_reloads(
             self, tenant_root, tmp_path):
         root, names, _ = _copy_root(tenant_root, tmp_path)
-        old, new = root / f"{names[1]}.npz", root / f"{names[2]}.npz"
-        # stored bundles of same-shaped tenants are byte-for-byte the same
-        # size; give both the same mtime, as one coarse clock tick would
+        old, new = root / f"{names[1]}.npz", root / "flip-next.npz"
+        # a different bundle of exactly the same size: the same tenant with
+        # one stored weight changed in place (same dtype and shape, so every
+        # member and the manifest keep their length while the content hash
+        # changes); give both the same mtime, as one coarse clock tick would
+        estimator = load_artifact(old).estimator
+        estimator.reconstructor_.model_.generator_.layers[-2].params["b"][0] += 1.0
+        save_artifact(estimator, new)
         assert old.stat().st_size == new.stat().st_size
         stat = old.stat()
         os.utime(new, ns=(stat.st_atime_ns, stat.st_mtime_ns))
