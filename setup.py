@@ -14,6 +14,9 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
-    install_requires=["numpy>=1.23", "scipy>=1.9", "networkx>=2.8"],
-    extras_require={"dev": ["pytest", "pytest-benchmark", "hypothesis"]},
+    install_requires=["numpy>=1.23", "scipy>=1.9"],
+    extras_require={
+        "graph": ["networkx>=2.8"],
+        "dev": ["pytest", "pytest-benchmark", "hypothesis"],
+    },
 )

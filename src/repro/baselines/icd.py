@@ -16,7 +16,6 @@ domain-variant features than our FS method").
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from repro.baselines.base import DAMethod, fit_scaler
 from repro.core.estimator import register_estimator
@@ -26,6 +25,8 @@ from repro.utils.validation import check_is_fitted
 
 def _mean_invariance_p(x_source: np.ndarray, x_target: np.ndarray) -> float:
     """Welch t-test p-value for a cross-domain mean shift in one feature."""
+    from scipy import stats
+
     if x_source.std() == 0 and x_target.std() == 0:
         return 1.0 if np.isclose(x_source.mean(), x_target.mean()) else 0.0
     try:

@@ -21,8 +21,10 @@ import threading
 import time
 
 import numpy as np
-from scipy import stats
 
+# scipy is imported inside each function that computes a statistic, never at
+# module level: serving restores FeatureSeparator (and with it this module)
+# from a bundle but never runs a test, so a daemon never loads scipy.
 from repro.obs.metrics import get_metrics
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_array
@@ -62,6 +64,8 @@ def _kstwo_sf(stat, n: float):
     is bitwise what the unmemoized call returns.  Non-finite D is never
     stored.
     """
+    from scipy import stats
+
     d = np.asarray(stat, dtype=np.float64)
     uniq, inverse = np.unique(d.reshape(-1), return_inverse=True)
     keys = [(n, float(v)) for v in uniq]
@@ -110,6 +114,8 @@ def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
     en = big * small / (big + small)
     if mode == "exact":
         return _kstwo_sf(stat, float(np.round(en)))
+    from scipy import stats
+
     root = np.sqrt(en)
     return np.clip(
         stats.kstwobign.sf((root + 0.12 + 0.11 / root) * np.asarray(stat)), 0.0, 1.0
@@ -151,6 +157,8 @@ def fisher_z_test(data, i: int, j: int, cond: tuple[int, ...] = ()) -> float:
 
 
 def _fisher_z_test(data, i: int, j: int, cond: tuple[int, ...]) -> float:
+    from scipy import stats
+
     data = check_array(data, min_samples=4)
     d = data.shape[1]
     for col in (i, j, *cond):
@@ -173,6 +181,8 @@ def g_squared_test(x, y, z=None, *, min_count: float = 0.0) -> float:
     ``x``/``y`` are 1-D integer arrays; ``z`` an optional 2-D integer matrix
     of conditioning columns.  Returns a p-value.
     """
+    from scipy import stats
+
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
@@ -260,6 +270,8 @@ def _regression_invariance_test(
     *,
     ridge: float = 1e-3,
 ) -> float:
+    from scipy import stats
+
     x_source = np.asarray(x_source, dtype=np.float64).ravel()
     x_target = np.asarray(x_target, dtype=np.float64).ravel()
     if x_source.size < 3 or x_target.size < 2:

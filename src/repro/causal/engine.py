@@ -51,9 +51,8 @@ import time
 from itertools import combinations
 
 import numpy as np
-from scipy import stats
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+# scipy is imported where a statistic is computed (see repro.causal.ci_tests)
 from repro.causal.ci_tests import ks_pvalue
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
@@ -86,6 +85,8 @@ def _rows(X: np.ndarray) -> np.ndarray:
 
 def _welch_t_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Welch t p-value per row of ``A`` (m, n1) vs ``B`` (m, n2)."""
+    from scipy import stats
+
     n1, n2 = A.shape[1], B.shape[1]
     m1, m2 = A.mean(axis=1), B.mean(axis=1)
     vn1 = A.var(axis=1, ddof=1) / n1
@@ -403,6 +404,9 @@ class CIEngine:
             key = "warm_hits" if factor is not None else "warm_misses"
             self.cache_stats[key] += 1
         if factor is None:
+            # imported past the cache hits, which run once per scored pair
+            from scipy.linalg import LinAlgError, cho_factor
+
             Zs = self._source_design(cols)
             A = Zs.T @ Zs + np.asarray(DEFAULT_RIDGE, dtype=dt) * np.eye(
                 Zs.shape[1], dtype=dt
@@ -447,6 +451,8 @@ class CIEngine:
             if beta is not None:
                 per_feature[j] = beta
                 return beta
+        from scipy.linalg import cho_solve
+
         beta = cho_solve(factor, self._source_design(cols).T @ self.Xs[:, j])
         per_feature[j] = beta
         if self.stat_cache is not None:

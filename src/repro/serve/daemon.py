@@ -8,7 +8,10 @@ the next multiple of 16 rows), optionally fronted by a
 :class:`~repro.serve.server.DaemonHTTPServer` and a Prometheus exposition
 endpoint.  The daemon always runs under a live metrics registry (a private
 one is installed when the caller has none), so request/batch/queue
-telemetry and the shutdown summary exist unconditionally.
+telemetry and the shutdown summary exist unconditionally.  While it runs,
+a ``gc.callbacks`` hook times every full (generation-2) collection of the
+process into the ``daemon.gc_pause_seconds`` histogram, so a stall that
+coincides with a collection shows up in ``/metrics`` and :meth:`stats`.
 
 In-process use (tests, load generation, embedding)::
 
@@ -23,6 +26,7 @@ and coalescing summary on the way out.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 
@@ -66,6 +70,23 @@ class DaemonConfig:
     auto_promote: bool = True
 
 
+class _GCPauseTimer:
+    """``gc.callbacks`` hook observing each generation-2 collection's duration."""
+
+    def __init__(self, histogram) -> None:
+        self.histogram = histogram
+        self._started: float | None = None
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        elif self._started is not None:
+            self.histogram.observe(time.perf_counter() - self._started)
+            self._started = None
+
+
 class ServeDaemon:
     """Multi-tenant scoring daemon (context manager)."""
 
@@ -84,6 +105,7 @@ class ServeDaemon:
         self._previous_registry = None
         self._owns_registry = False
         self._started_at: float | None = None
+        self._gc_timer: _GCPauseTimer | None = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -129,6 +151,9 @@ class ServeDaemon:
             self.prometheus = PrometheusExporter(
                 get_metrics(), port=cfg.prom_port
             ).start()
+        self._gc_timer = _GCPauseTimer(
+            get_metrics().histogram("daemon.gc_pause_seconds"))
+        gc.callbacks.append(self._gc_timer)
         self._started_at = time.perf_counter()
         return self
 
@@ -148,6 +173,9 @@ class ServeDaemon:
                 self.prometheus = None
         finally:
             self.batcher = None
+            if self._gc_timer in gc.callbacks:
+                gc.callbacks.remove(self._gc_timer)
+            self._gc_timer = None
             if self._owns_registry:
                 set_metrics(self._previous_registry)
                 self._previous_registry = None
@@ -292,7 +320,8 @@ class ServeDaemon:
         if registry.enabled:
             latency = {}
             for name in ("daemon.request_seconds", "daemon.queue_seconds",
-                         "daemon.batch_seconds", "daemon.batch_rows"):
+                         "daemon.batch_seconds", "daemon.batch_rows",
+                         "daemon.gc_pause_seconds"):
                 hist = registry.histogram(name)
                 if hist.count:
                     summary = hist.summary()

@@ -1,5 +1,6 @@
 """ServeDaemon lifecycle and the HTTP wire format."""
 
+import gc
 import http.client
 import json
 import os
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.artifacts import load_artifact, save_artifact
+from repro.obs.metrics import get_metrics
 from repro.serve import DaemonConfig, PlanCache, ServeDaemon
 from repro.serve import server as server_mod
 from repro.serve.daemon import format_daemon_summary
@@ -267,6 +269,23 @@ class TestStageMetrics:
         assert batcher["rows"] == 19
         assert batcher["padded_rows"] == 48
         assert b"daemon_padded_rows_total 48" in body
+
+    def test_full_collections_are_timed_while_running(self, tenant_root):
+        root, _, _ = tenant_root
+        callbacks = list(gc.callbacks)
+        with ServeDaemon(_config(root)) as daemon:
+            pauses = get_metrics().histogram("daemon.gc_pause_seconds")
+            before = pauses.count
+            gc.collect()
+            assert pauses.count >= before + 1
+            summary = daemon.stats()["latency"]["daemon.gc_pause_seconds"]
+            _, body = _get(f"{daemon.url}/metrics")
+        assert summary["count"] >= 1
+        assert 0.0 < summary["max"] < 60.0
+        count_line = [line for line in body.decode().splitlines()
+                      if line.startswith("daemon_gc_pause_seconds_count ")]
+        assert count_line and float(count_line[0].split()[1]) >= 1
+        assert gc.callbacks == callbacks
 
 
 class _CountingWriter:
