@@ -211,7 +211,9 @@ class ConditionalGAN(Estimator):
             self.discriminator_.to(dt)
         # The whole minibatch update runs in the straight-line fused kernel
         # (flat-parameter Adam, dead-gradient skipping, per-batch buffers);
-        # parameters stay shared with the Sequential objects as views.
+        # parameters stay shared with the Sequential objects as views.  Its
+        # generator half runs in a forked lane process when the host and
+        # the fit size allow (bit-identical either way, see repro.nn.fused).
         trainer = FusedCGANTrainer(
             self.generator_, self.discriminator_,
             noise_dim=self.noise_dim, conditional=self.conditional,
@@ -220,6 +222,7 @@ class ConditionalGAN(Estimator):
         trainer.bind(X_inv, X_var, y_onehot if self.conditional else None)
         n = X_inv.shape[0]
         batch = min(self.batch_size, n)
+        n_batches = -(-n // batch)
         self.history_ = {"d_loss": [], "g_loss": []}
         hook = as_hook(hooks)
         registry = get_metrics()
@@ -229,36 +232,42 @@ class ConditionalGAN(Estimator):
 
         self._serve_ws = Workspace()
 
-        for epoch in range(self.epochs):
-            epoch_t0 = time.perf_counter() if telemetry else 0.0
-            d_grad_norm = g_grad_norm = 0.0
-            d_losses, g_losses = [], []
-            for idx in iterate_minibatches(n, batch, rng):
-                batch_d, g_loss, dgn, ggn = trainer.minibatch(
-                    idx, rng, d_steps=self.d_steps,
-                    want_grad_norms=grad_norms,
-                )
-                d_losses.extend(batch_d)
-                g_losses.append(g_loss)
-                if grad_norms:
-                    d_grad_norm, g_grad_norm = dgn, ggn
-
-            d_loss = float(np.mean(d_losses))
-            g_loss = float(np.mean(g_losses))
-            self.history_["d_loss"].append(d_loss)
-            self.history_["g_loss"].append(g_loss)
-            if telemetry:
-                seconds = time.perf_counter() - epoch_t0
-                if registry.enabled:
-                    registry.histogram("gan_epoch_seconds").observe(seconds)
-                    registry.histogram("gan_d_loss").observe(d_loss)
-                    registry.histogram("gan_g_loss").observe(g_loss)
-                if hook.active:
-                    logs = {"d_loss": d_loss, "g_loss": g_loss, "seconds": seconds}
+        with trainer.lane(rows=batch, updates=self.epochs * n_batches,
+                          d_steps=self.d_steps) as forked:
+            # whether the generator half ran in a forked lane process
+            self.train_lane_ = forked
+            for epoch in range(self.epochs):
+                epoch_t0 = time.perf_counter() if telemetry else 0.0
+                d_grad_norm = g_grad_norm = 0.0
+                d_losses, g_losses = [], []
+                for b, idx in enumerate(iterate_minibatches(n, batch, rng)):
+                    # hooks log the last batch's norms: only it waits for G
+                    batch_d, g_loss, dgn, ggn = trainer.minibatch(
+                        idx, rng, d_steps=self.d_steps,
+                        want_grad_norms=grad_norms and b == n_batches - 1,
+                    )
+                    d_losses.extend(batch_d)
+                    g_losses.append(g_loss)
                     if grad_norms:
-                        logs["d_grad_norm"] = d_grad_norm
-                        logs["g_grad_norm"] = g_grad_norm
-                    hook.on_epoch_end(epoch, logs)
+                        d_grad_norm, g_grad_norm = dgn, ggn
+
+                d_loss = float(np.mean(d_losses))
+                g_loss = float(np.mean(g_losses))
+                self.history_["d_loss"].append(d_loss)
+                self.history_["g_loss"].append(g_loss)
+                if telemetry:
+                    seconds = time.perf_counter() - epoch_t0
+                    if registry.enabled:
+                        registry.histogram("gan_epoch_seconds").observe(seconds)
+                        registry.histogram("gan_d_loss").observe(d_loss)
+                        registry.histogram("gan_g_loss").observe(g_loss)
+                    if hook.active:
+                        logs = {"d_loss": d_loss, "g_loss": g_loss,
+                                "seconds": seconds}
+                        if grad_norms:
+                            logs["d_grad_norm"] = d_grad_norm
+                            logs["g_grad_norm"] = g_grad_norm
+                        hook.on_epoch_end(epoch, logs)
         hook.on_train_end(
             {
                 "epochs": self.epochs,

@@ -42,6 +42,8 @@ from repro.utils.validation import check_random_state
 
 #: rows per GEMM of an inference-mode :class:`Dense` forward (see there)
 ROW_TILE = 16
+#: widest output-column block of an inference-mode :class:`Dense` GEMM
+COL_BLOCK = 256
 
 
 class Layer:
@@ -84,7 +86,12 @@ class Dense(Layer):
     each row's output a function of its own input alone: ``n`` rows scored
     together equal ``n / ROW_TILE`` separate ``ROW_TILE``-row calls bit for
     bit.  Padded serving (:meth:`repro.serve.plan.InferencePlan.execute`)
-    builds its coalescing guarantee on this.  Training keeps one GEMM per
+    builds its coalescing guarantee on this.  An inference layer wider than
+    :data:`COL_BLOCK` also splits its output columns into blocks of at most
+    that width: under one BLAS thread, OpenBLAS computes a float64 row of a
+    wider product differently at different positions inside the tile, and
+    with the split every tested shape (N in 257..1024, K in 64..1024, float32
+    and float64, one and two threads) is exact.  Training keeps one GEMM per
     minibatch.
     """
 
@@ -120,13 +127,22 @@ class Dense(Layer):
         W, b = self.params["W"], self.params["b"]
         rows = x.shape[0]
         out = self._ws.get("out", (rows, self.out_features), W.dtype)
-        if not training and rows > ROW_TILE and rows % ROW_TILE == 0:
-            # one GEMM per ROW_TILE-row slice: every row is computed inside
-            # an M=ROW_TILE call, whatever else shares the batch
-            np.matmul(x.reshape(-1, ROW_TILE, self.in_features), W,
-                      out=out.reshape(-1, ROW_TILE, self.out_features))
-        else:
+        if training:
             np.matmul(x, W, out=out)
+        else:
+            if rows > ROW_TILE and rows % ROW_TILE == 0:
+                # one GEMM per ROW_TILE-row slice: every row is computed
+                # inside an M=ROW_TILE call, whatever else shares the batch
+                x3 = x.reshape(-1, ROW_TILE, self.in_features)
+                out3 = out.reshape(-1, ROW_TILE, self.out_features)
+            else:
+                x3, out3 = x, out
+            if self.out_features <= COL_BLOCK:
+                np.matmul(x3, W, out=out3)
+            else:
+                for c in range(0, self.out_features, COL_BLOCK):
+                    cols = slice(c, c + COL_BLOCK)
+                    np.matmul(x3, W[:, cols], out=out3[..., cols])
         out += b
         return out
 

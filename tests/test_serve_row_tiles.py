@@ -202,3 +202,50 @@ class TestWorkspacePrefixViews:
                         for buf in ws._bufs.values()))
 
         assert count(every) <= count(once)
+
+
+#: runs under one BLAS thread: each row of a 16-row tile, at every position
+_ROW_POSITION_SCRIPT = r"""
+import json
+import numpy as np
+from repro.nn import Dense
+from repro.nn.layers import ROW_TILE
+
+rng = np.random.default_rng(0)
+moved = []
+for k in (256, 300, 512):
+    layer = Dense(k, 257, random_state=k)
+    base = rng.standard_normal((ROW_TILE, k))
+    rows = rng.standard_normal((4, k))
+    for r, row in enumerate(rows):
+        seen = set()
+        for pos in range(ROW_TILE):
+            tile = base.copy()
+            tile[pos] = row
+            seen.add(layer.forward(tile, training=False)[pos].tobytes())
+        if len(seen) != 1:
+            moved.append([k, r, len(seen)])
+print(json.dumps(moved))
+"""
+
+
+class TestDenseRowPositionInvariance:
+    def test_wide_float64_rows_do_not_depend_on_their_tile_position(self):
+        """A float64 inference ``Dense(K, 257)`` under one BLAS thread gives
+        a row the same bits at every position of a 16-row tile, so scoring
+        a request coalesced with others equals scoring it alone."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", _ROW_POSITION_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        moved = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert moved == [], f"(K, row, distinct results): {moved}"
