@@ -302,10 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="N",
                         help="largest request or coalesced micro-batch "
                         "in rows (default 256)")
-    daemon.add_argument("--max-wait-ms", type=float, default=2.0,
-                        metavar="MS",
-                        help="idle linger before scoring an uncoalesced "
-                        "request (default 2 ms)")
     daemon.add_argument("--cache-size", type=int, default=8, metavar="N",
                         help="tenants kept hot in the LRU plan cache")
     daemon.add_argument("--no-coalesce", action="store_true",
@@ -550,7 +546,6 @@ def _dispatch(args, preset) -> int:
             port=args.port,
             n_draws=args.n_draws,
             micro_batch_rows=args.max_batch_rows,
-            max_wait=args.max_wait_ms / 1e3,
             cache_size=args.cache_size,
             coalesce=not args.no_coalesce,
             prom_port=args.prom_port,

@@ -1,13 +1,17 @@
 """Micro-batching: coalesce same-tenant requests into one padded execution.
 
-:class:`MicroBatcher` is a thread-safe admission queue plus a single scorer
-thread.  Requests enqueue per tenant in FIFO order; the scorer coalesces
-the head of one tenant's queue into a micro-batch of at most
-``micro_batch_rows`` rows, optionally lingering ``max_wait`` seconds when
-it is otherwise idle, and scores it with
+:class:`MicroBatcher` is a thread-safe admission queue that is drained
+inline by the serving event loop (:class:`~repro.serve.server.DaemonHTTPServer`),
+the batcher's only executor.  Requests enqueue per tenant in FIFO order;
+on every wake-up the loop calls :meth:`MicroBatcher.drain`, which
+coalesces the head of each tenant's queue into micro-batches of at most
+``micro_batch_rows`` rows and scores each with
 ``plan.execute(segments, capacity=micro_batch_rows)`` on the tenant's
-cached :class:`~repro.serve.plan.InferencePlan`.  ``micro_batch_rows`` is
-the admission and coalescing bound, not the executed row count.
+cached :class:`~repro.serve.plan.InferencePlan`.  Nothing lingers: requests
+coalesce when they arrive together, between two wake-ups of the loop.
+``micro_batch_rows`` is the admission and coalescing bound, not the
+executed row count.  Used on its own, :meth:`MicroBatcher.start` runs the
+loop with only its wake-up socket.
 
 Two choices exist for one reason: **bit-identity across coalescing
 patterns**.  Every execution — a single request or a coalesced
@@ -21,7 +25,7 @@ remaining ops are elementwise or row-wise, so a padded row can never
 perturb another row.  Scoring requests ``[A, B]`` coalesced is therefore
 bit-identical to scoring ``[A]`` then ``[B]``, whatever the sizes.  The
 executed row count is ``stats()["padded_rows"]``; ``rows / padded_rows``
-is the live share.  A single scorer keeps
+is the live share.  A single executor keeps
 each tenant's RNG consumption deterministic: per-tenant scoring order
 equals per-tenant admission order (the ``seq`` number on every request),
 so a run can be replayed request-by-request bit for bit.
@@ -41,6 +45,7 @@ import numpy as np
 
 from repro.obs.metrics import get_metrics
 from repro.serve.plan import padded_rows
+from repro.serve.server import DaemonHTTPServer
 from repro.utils.errors import ValidationError
 
 __all__ = ["MicroBatcher", "PendingRequest"]
@@ -57,9 +62,10 @@ class PendingRequest:
     """
 
     __slots__ = ("tenant", "X", "seq", "enqueued", "proba", "plan",
-                 "error", "_event")
+                 "error", "_event", "_batcher")
 
-    def __init__(self, tenant: str, X: np.ndarray, seq: int) -> None:
+    def __init__(self, tenant: str, X: np.ndarray, seq: int,
+                 batcher: "MicroBatcher") -> None:
         self.tenant = tenant
         self.X = X
         self.seq = seq
@@ -68,12 +74,21 @@ class PendingRequest:
         self.plan = None
         self.error: Exception | None = None
         self._event = threading.Event()
+        self._batcher = batcher
 
     def done(self) -> bool:
         return self._event.is_set()
 
     def result(self, timeout: float | None = None) -> np.ndarray:
-        """Block until scored; returns probabilities or re-raises the error."""
+        """Block until scored; returns probabilities or re-raises the error.
+
+        Called on the executor thread itself (code that the event loop runs
+        inline), it scores the queued work instead of waiting for it.
+        """
+        batcher = self._batcher
+        if batcher.on_executor():
+            while not self._event.is_set() and batcher.has_work:
+                batcher.drain()
         if not self._event.wait(timeout):
             raise TimeoutError(
                 f"request seq={self.seq} for tenant {self.tenant!r} "
@@ -85,7 +100,7 @@ class PendingRequest:
 
 
 class MicroBatcher:
-    """Per-tenant FIFO queues drained by one coalescing scorer thread.
+    """Per-tenant FIFO queues drained inline by one executor thread.
 
     Parameters
     ----------
@@ -94,31 +109,24 @@ class MicroBatcher:
         compiled plans through it (LRU + hot reload); its
         ``micro_batch_rows`` bounds the rows of every request and
         micro-batch.
-    max_wait:
-        Linger budget in seconds: when the scorer picks up a lone request
-        and no other tenant has work queued, it waits up to this long for
-        same-tenant arrivals to coalesce with.  0 disables lingering.
     coalesce:
         False scores every request in its own (still padded) execution —
         the daemon's per-request baseline mode, used by the sustained
         benchmark as the "before" side.
     """
 
-    def __init__(self, cache, *, max_wait: float = 0.002,
-                 coalesce: bool = True) -> None:
-        if max_wait < 0:
-            raise ValidationError("max_wait must be >= 0")
+    def __init__(self, cache, *, coalesce: bool = True) -> None:
         self.cache = cache
-        self.max_wait = float(max_wait)
         self.coalesce = bool(coalesce)
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._queues: dict[str, deque[PendingRequest]] = {}
         self._order: deque[str] = deque()
         self._seq: dict[str, int] = {}
         self._depth = 0
         self._stop = False
-        self._thread: threading.Thread | None = None
+        self._executor: int | None = None
+        self._wakeup = None
+        self._loop = None
         self.batches = 0
         self.requests = 0
         self.rows = 0
@@ -127,30 +135,46 @@ class MicroBatcher:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "MicroBatcher":
-        if self._thread is not None:
+        """Run this batcher on an event loop of its own (no HTTP front)."""
+        if self._loop is not None:
             raise ValidationError("batcher already started")
         self._stop = False
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-micro-batcher", daemon=True
-        )
-        self._thread.start()
+        self._loop = DaemonHTTPServer(self, port=None).start()
         return self
 
     def stop(self) -> None:
-        """Drain every queued request, then stop the scorer thread."""
-        if self._thread is None:
+        """Drain every queued request, then stop the loop started here."""
+        if self._loop is None:
             return
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        self._thread.join(timeout=30.0)
-        self._thread = None
+        self._loop.stop()
+        self._loop = None
 
     def __enter__(self) -> "MicroBatcher":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+    def bind(self, wakeup) -> None:
+        """Make the calling thread the executor (``wakeup=None`` unbinds).
+
+        ``wakeup()`` is called after every submit, so the executor notices
+        work enqueued from other threads.
+        """
+        self._executor = threading.get_ident() if wakeup is not None else None
+        self._wakeup = wakeup
+
+    def on_executor(self) -> bool:
+        return self._executor == threading.get_ident()
+
+    def close(self) -> None:
+        """Refuse further submits; what is queued can still be drained."""
+        with self._lock:
+            self._stop = True
+
+    @property
+    def has_work(self) -> bool:
+        return self._depth > 0
 
     # -- admission -----------------------------------------------------------
 
@@ -162,12 +186,12 @@ class MicroBatcher:
         # on the first request for a tenant)
         entry = self.cache.get(tenant)
         X = entry.plan.check_request(X, capacity=self.cache.micro_batch_rows)
-        with self._cond:
+        with self._lock:
             if self._stop:
                 raise ValidationError("batcher is stopped")
             seq = self._seq.get(tenant, 0)
             self._seq[tenant] = seq + 1
-            pending = PendingRequest(tenant, X, seq)
+            pending = PendingRequest(tenant, X, seq, self)
             queue = self._queues.get(tenant)
             if queue is None:
                 queue = self._queues[tenant] = deque()
@@ -182,29 +206,24 @@ class MicroBatcher:
                     X.shape[0]
                 )
                 registry.gauge("daemon.queue_depth").set(self._depth)
-            self._cond.notify()
+        wakeup = self._wakeup
+        if wakeup is not None:
+            wakeup()
         return pending
 
     def score(self, tenant: str, X, *, timeout: float | None = 30.0):
         """Convenience: submit and block for the probabilities."""
         return self.submit(tenant, X).result(timeout)
 
-    # -- scorer loop ---------------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _take_batch(self) -> list[PendingRequest] | None:
-        """Pop the next micro-batch under the lock (None = stopped & drained)."""
-        with self._cond:
-            while True:
-                while not self._order and not self._stop:
-                    self._cond.wait()
-                if not self._order:
-                    return None  # stopping with nothing queued
-                tenant = self._order.popleft()
-                queue = self._queues[tenant]
-                if queue:
-                    break
-                # stale entry: a submit during the idle linger re-added the
-                # tenant, but the post-linger drain already took its work
+        """Pop the next micro-batch under the lock (None = nothing queued)."""
+        with self._lock:
+            if not self._order:
+                return None
+            tenant = self._order.popleft()
+            queue = self._queues[tenant]
             capacity = self.cache.micro_batch_rows
             batch = [queue.popleft()]
             rows = batch[0].X.shape[0]
@@ -213,15 +232,6 @@ class MicroBatcher:
                     pending = queue.popleft()
                     rows += pending.X.shape[0]
                     batch.append(pending)
-                if (len(self._order) == 0 and not queue and not self._stop
-                        and self.max_wait > 0.0 and rows < capacity):
-                    # idle linger: give same-tenant arrivals one chance to
-                    # coalesce before paying an execution of its own
-                    self._cond.wait(self.max_wait)
-                    while queue and rows + queue[0].X.shape[0] <= capacity:
-                        pending = queue.popleft()
-                        rows += pending.X.shape[0]
-                        batch.append(pending)
             if queue:
                 self._order.append(tenant)
             self._depth -= len(batch)
@@ -230,53 +240,63 @@ class MicroBatcher:
                 registry.gauge("daemon.queue_depth").set(self._depth)
             return batch
 
-    def _loop(self) -> None:
-        while True:
+    def drain(self) -> None:
+        """Score the requests queued now, tenant by tenant (executor only).
+
+        Requests submitted while this runs may wait for the next call, so
+        one wake-up of the loop takes a bounded amount of work.
+        """
+        budget = self._depth
+        while budget > 0:
             batch = self._take_batch()
             if batch is None:
                 return
-            tenant = batch[0].tenant
-            t0 = time.perf_counter()
-            registry = get_metrics()
-            try:
-                entry = self.cache.get(tenant)
-                probas = entry.plan.execute(
-                    [p.X for p in batch], capacity=self.cache.micro_batch_rows
-                )
-            except Exception as exc:  # noqa: BLE001 — scorer must not die
-                registry.counter("daemon.errors_total").inc(len(batch))
-                for pending in batch:
-                    pending.error = exc
-                    pending._event.set()
-                continue
-            shadow = self.cache.shadow_for(tenant) if hasattr(
-                self.cache, "shadow_for") else None
-            if shadow is not None and shadow.verdict is None:
-                self._shadow_score(shadow, batch, probas, entry)
-            now = time.perf_counter()
-            rows = sum(p.X.shape[0] for p in batch)
-            executed = padded_rows(rows)
-            self.batches += 1
-            self.requests += len(batch)
-            self.rows += rows
-            self.padded_rows += executed
-            if registry.enabled:
-                registry.counter("daemon.batches_total").inc()
-                registry.counter("daemon.padded_rows_total").inc(executed)
-                registry.histogram("daemon.batch_rows").observe(rows)
-                registry.histogram("daemon.batch_requests").observe(len(batch))
-                registry.histogram("daemon.batch_seconds").observe(now - t0)
-                for pending in batch:
-                    registry.histogram("daemon.queue_seconds").observe(
-                        t0 - pending.enqueued
-                    )
-                    registry.histogram("daemon.request_seconds").observe(
-                        now - pending.enqueued
-                    )
-            for pending, proba in zip(batch, probas):
-                pending.proba = proba
-                pending.plan = entry.plan
+            budget -= len(batch)
+            self._execute(batch)
+
+    def _execute(self, batch: list[PendingRequest]) -> None:
+        tenant = batch[0].tenant
+        t0 = time.perf_counter()
+        registry = get_metrics()
+        try:
+            entry = self.cache.get(tenant)
+            probas = entry.plan.execute(
+                [p.X for p in batch], capacity=self.cache.micro_batch_rows
+            )
+        except Exception as exc:  # noqa: BLE001 — the executor must not die
+            registry.counter("daemon.errors_total").inc(len(batch))
+            for pending in batch:
+                pending.error = exc
                 pending._event.set()
+            return
+        shadow = self.cache.shadow_for(tenant) if hasattr(
+            self.cache, "shadow_for") else None
+        if shadow is not None and shadow.verdict is None:
+            self._shadow_score(shadow, batch, probas, entry)
+        now = time.perf_counter()
+        rows = sum(p.X.shape[0] for p in batch)
+        executed = padded_rows(rows)
+        self.batches += 1
+        self.requests += len(batch)
+        self.rows += rows
+        self.padded_rows += executed
+        if registry.enabled:
+            registry.counter("daemon.batches_total").inc()
+            registry.counter("daemon.padded_rows_total").inc(executed)
+            registry.histogram("daemon.batch_rows").observe(rows)
+            registry.histogram("daemon.batch_requests").observe(len(batch))
+            registry.histogram("daemon.batch_seconds").observe(now - t0)
+            for pending in batch:
+                registry.histogram("daemon.queue_seconds").observe(
+                    t0 - pending.enqueued
+                )
+                registry.histogram("daemon.request_seconds").observe(
+                    now - pending.enqueued
+                )
+        for pending, proba in zip(batch, probas):
+            pending.proba = proba
+            pending.plan = entry.plan
+            pending._event.set()
 
     def _shadow_score(self, shadow, batch, probas, entry) -> None:
         """Score the same micro-batch on the shadow candidate and compare.

@@ -4,9 +4,12 @@ Ties the serving plane together: a :class:`~repro.serve.registry.PlanCache`
 (LRU of compiled tenant plans with sha256-validated hot reload) feeding a
 :class:`~repro.serve.batcher.MicroBatcher` (per-tenant FIFO coalescing into
 micro-batches of at most ``micro_batch_rows`` rows, each executed padded to
-the next multiple of 16 rows), optionally fronted by a
-:class:`~repro.serve.server.DaemonHTTPServer` and a Prometheus exposition
-endpoint.  The daemon always runs under a live metrics registry (a private
+the next multiple of 16 rows), drained by one event-loop thread
+(:class:`~repro.serve.server.DaemonHTTPServer`) that is also the HTTP front
+when a port is configured, plus an optional Prometheus exposition endpoint.
+That thread is the only scorer: in-process callers (:meth:`ServeDaemon.submit`
+/ :meth:`ServeDaemon.score`) enqueue from their own threads and wake it.
+The daemon always runs under a live metrics registry (a private
 one is installed when the caller has none), so request/batch/queue
 telemetry and the shutdown summary exist unconditionally.  While it runs,
 a ``gc.callbacks`` hook times every full (generation-2) collection of the
@@ -35,6 +38,7 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry, get_metrics, set_metrics
 from repro.serve.batcher import MicroBatcher, PendingRequest
 from repro.serve.registry import DEFAULT_CAPACITY, PlanCache
+from repro.serve.server import DaemonHTTPServer
 from repro.utils.errors import ValidationError
 
 __all__ = ["DaemonConfig", "ServeDaemon", "run_daemon"]
@@ -53,13 +57,11 @@ class DaemonConfig:
     #: not the executed row count, which is the live rows padded to a
     #: multiple of 16
     micro_batch_rows: int = DEFAULT_CAPACITY
-    #: idle linger before scoring an uncoalesced request (seconds)
-    max_wait: float = 0.002
     #: LRU capacity of the compiled-plan cache (tenants kept hot)
     cache_size: int = 8
     #: False = per-request scoring (the sustained benchmark's baseline)
     coalesce: bool = True
-    #: per-request result wait budget for the HTTP front (seconds)
+    #: result wait budget of :meth:`ServeDaemon.score` (seconds)
     request_timeout: float = 30.0
     #: optional Prometheus exposition port (None = off)
     prom_port: int | None = None
@@ -98,7 +100,8 @@ class ServeDaemon:
         self.config = config
         self.cache: PlanCache | None = None
         self.batcher: MicroBatcher | None = None
-        self.http = None
+        self.http: DaemonHTTPServer | None = None
+        self._loop: DaemonHTTPServer | None = None
         self.prometheus = None
         self.lineage = None
         self._shadow_results: dict = {}
@@ -132,19 +135,16 @@ class ServeDaemon:
             n_draws=cfg.n_draws,
             micro_batch_rows=cfg.micro_batch_rows,
         )
-        self.batcher = MicroBatcher(
-            self.cache, max_wait=cfg.max_wait, coalesce=cfg.coalesce
-        ).start()
+        self.batcher = MicroBatcher(self.cache, coalesce=cfg.coalesce)
         if cfg.manage_lineage:
             from repro.adapt.lineage import ArtifactLineage
 
             self.lineage = ArtifactLineage(cfg.root)
+        self._loop = DaemonHTTPServer(
+            self.batcher, daemon=self, host=cfg.host, port=cfg.port
+        ).start()
         if cfg.port is not None:
-            from repro.serve.server import DaemonHTTPServer
-
-            self.http = DaemonHTTPServer(
-                self, host=cfg.host, port=cfg.port
-            ).start()
+            self.http = self._loop
         if cfg.prom_port is not None:
             from repro.obs.exporters import PrometheusExporter
 
@@ -163,10 +163,9 @@ class ServeDaemon:
             return {}
         stats = None
         try:
-            if self.http is not None:
-                self.http.stop()
-                self.http = None
-            self.batcher.stop()
+            if self._loop is not None:
+                self._loop.stop()
+            self._loop = self.http = None
             stats = self.stats()
             if self.prometheus is not None:
                 self.prometheus.stop()
@@ -253,7 +252,7 @@ class ServeDaemon:
         )
 
     def _on_shadow_verdict(self, state) -> None:
-        """Scorer-thread callback: act on a shadow verdict."""
+        """Loop-thread callback: act on a shadow verdict."""
         tenant = state.tenant
         self._shadow_results[tenant] = {
             "verdict": state.verdict,

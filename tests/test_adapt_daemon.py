@@ -73,7 +73,7 @@ def seeded_lineage(tmp_path, two_generations):
 
 def _config(lineage, **overrides):
     defaults = dict(root=str(lineage.root), port=None, micro_batch_rows=64,
-                    cache_size=8, max_wait=0.0)
+                    cache_size=8)
     defaults.update(overrides)
     return DaemonConfig(**defaults)
 

@@ -124,7 +124,7 @@ class TestNonFiniteRequests:
     def test_rejected_before_it_can_join_a_batch(self, tenant_root, value):
         root, names, X_test = tenant_root
         cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
-        batcher = MicroBatcher(cache, max_wait=0.0)
+        batcher = MicroBatcher(cache)
         valid = batcher.submit(names[0], X_test[:3])
         bad = X_test[:1].copy()
         bad[0, 0] = value
@@ -186,12 +186,12 @@ class TestEvictReloadMidStream:
             shutil.copy(root / f"{name}.npz", tmp_path / f"{name}.npz")
 
         ref_cache = PlanCache(tmp_path, capacity=8, micro_batch_rows=CAP)
-        with MicroBatcher(ref_cache, max_wait=0.0) as batcher:
+        with MicroBatcher(ref_cache) as batcher:
             ref_a = batcher.score(names[0], X_test[:4])
             ref_b = batcher.score(names[0], X_test[:4])
 
         cache = PlanCache(tmp_path, capacity=1, micro_batch_rows=CAP)
-        with MicroBatcher(cache, max_wait=0.0) as batcher:
+        with MicroBatcher(cache) as batcher:
             a = batcher.score(names[0], X_test[:4])
             batcher.score(names[1], X_test[:2])   # evicts tenant 0
             b = batcher.score(names[0], X_test[:4])  # reload + fast-forward
@@ -228,7 +228,7 @@ class TestMicroBatcher:
     def test_coalesces_queued_requests(self, tenant_root):
         root, names, X_test = tenant_root
         cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
-        batcher = MicroBatcher(cache, max_wait=0.0)
+        batcher = MicroBatcher(cache)
         # enqueue before starting the scorer so the first batch coalesces
         pendings = [batcher.submit(names[0], X_test[i:i + 2])
                     for i in range(0, 12, 2)]
@@ -266,7 +266,7 @@ class TestMicroBatcher:
                 with lock:
                     results[(tenant, pending.seq)] = (X, proba)
 
-        with MicroBatcher(cache, max_wait=0.001) as batcher:
+        with MicroBatcher(cache) as batcher:
             threads = [
                 threading.Thread(target=client,
                                  args=(names[t % 2], range(8 * w, 8 * w + 8)))
@@ -310,7 +310,7 @@ class TestMicroBatcher:
     def test_stop_drains_queued_work(self, tenant_root):
         root, names, X_test = tenant_root
         cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
-        batcher = MicroBatcher(cache, max_wait=0.0)
+        batcher = MicroBatcher(cache)
         pendings = [batcher.submit(names[0], X_test[i:i + 1])
                     for i in range(10)]
         batcher.start()

@@ -4,8 +4,12 @@ import gc
 import http.client
 import json
 import os
+import re
 import shutil
+import socket
 import statistics
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -23,7 +27,7 @@ from repro.utils.errors import ValidationError
 
 def _config(root, **overrides):
     defaults = dict(root=str(root), port=0, micro_batch_rows=64,
-                    cache_size=8, max_wait=0.0)
+                    cache_size=8)
     defaults.update(overrides)
     return DaemonConfig(**defaults)
 
@@ -92,6 +96,51 @@ class TestLifecycle:
         text = format_daemon_summary(stats)
         assert "1 requests" in text and "cache:" in text
         assert format_daemon_summary({}) == "daemon served no requests"
+
+
+class TestInProcessWakeups:
+    def test_no_wakeup_is_lost_under_contention(self, tenant_root):
+        """Submitters on more threads than cores, switching often.
+
+        A submit whose wake-up the loop missed would never be scored and
+        its ``result`` would time out.
+        """
+        root, names, X_test = tenant_root
+        results = []
+        lock = threading.Lock()
+
+        def client(worker):
+            for i in range(30):
+                tenant = names[(worker + i) % 2]
+                X = X_test[i % 40:i % 40 + 1 + (worker + i) % 4]
+                pending = daemon.submit(tenant, X)
+                proba = pending.result(10.0)
+                with lock:
+                    results.append((tenant, pending.seq, X, proba))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServeDaemon(_config(root, port=None)) as daemon:
+                threads = [threading.Thread(target=client, args=(w,))
+                           for w in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 6 * 30
+        cache = PlanCache(root, capacity=8, micro_batch_rows=64)
+        for tenant in names[:2]:
+            mine = sorted((seq, X, proba) for who, seq, X, proba in results
+                          if who == tenant)
+            assert [seq for seq, _, _ in mine] == list(range(len(mine)))
+            plan = cache.get(tenant).plan
+            for _, X, proba in mine:
+                np.testing.assert_array_equal(
+                    proba, plan.execute([X], capacity=64)[0])
 
 
 class TestHTTP:
@@ -223,6 +272,153 @@ class TestKeepAliveFraming:
             conn.close()
 
 
+def _raw_request(method, path, body=b""):
+    """One HTTP/1.1 request as bytes, framed by Content-Length."""
+    return (f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode() + body
+
+
+def _read_responses(sock, count=1):
+    """Read ``count`` responses from a raw socket: ``[(status, body)]``."""
+    buf, out = b"", []
+    while len(out) < count:
+        end = buf.find(b"\r\n\r\n")
+        if end >= 0:
+            head = buf[:end].decode("latin-1")
+            length = int(re.search(r"(?im)^content-length: *(\d+)",
+                                   head).group(1))
+            if len(buf) >= end + 4 + length:
+                out.append((int(head.split()[1]),
+                            buf[end + 4:end + 4 + length]))
+                buf = buf[end + 4 + length:]
+                continue
+        chunk = sock.recv(65536)
+        if not chunk:
+            raise ConnectionError("the daemon closed the connection")
+        buf += chunk
+    return out
+
+
+class TestEventLoopFraming:
+    """What a thread per connection gave for free, on the one loop thread."""
+
+    def test_body_in_a_later_segment(self, tenant_root):
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:3].tolist()}).encode()
+        raw = _raw_request("POST", f"/v1/score/{names[0]}", body)
+        split = raw.index(b"\r\n\r\n") + 4
+        with ServeDaemon(_config(root)) as daemon:
+            with socket.create_connection(("127.0.0.1", daemon.http.port),
+                                          timeout=10) as sock:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                sock.sendall(raw[:split])
+                time.sleep(0.05)
+                sock.sendall(raw[split:])
+                [(status, reply)] = _read_responses(sock)
+        assert status == 200
+        assert json.loads(reply)["rows"] == 3
+
+    def test_expect_continue_gets_an_interim_reply(self, tenant_root):
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:2].tolist()}).encode()
+        head = (f"POST /v1/score/{names[0]} HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Expect: 100-continue\r\n\r\n").encode()
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        with ServeDaemon(_config(root)) as daemon:
+            with socket.create_connection(("127.0.0.1", daemon.http.port),
+                                          timeout=10) as sock:
+                sock.sendall(head)
+                got = b""
+                while len(got) < len(interim):
+                    got += sock.recv(len(interim) - len(got))
+                sock.sendall(body)
+                [(status, reply)] = _read_responses(sock)
+        assert got == interim
+        assert status == 200 and json.loads(reply)["rows"] == 2
+
+    def test_pipelined_requests_answered_in_order(self, tenant_root):
+        root, names, X_test = tenant_root
+        first = json.dumps({"x": X_test[:2].tolist()}).encode()
+        second = json.dumps({"x": X_test[2:7].tolist()}).encode()
+        with ServeDaemon(_config(root)) as daemon:
+            with socket.create_connection(("127.0.0.1", daemon.http.port),
+                                          timeout=10) as sock:
+                sock.sendall(
+                    _raw_request("POST", f"/v1/score/{names[0]}", first)
+                    + _raw_request("POST", f"/v1/score/{names[0]}", second)
+                    + _raw_request("GET", "/healthz"))
+                replies = _read_responses(sock, 3)
+        assert [status for status, _ in replies] == [200, 200, 200]
+        scored = [json.loads(body) for _, body in replies[:2]]
+        assert [(p["seq"], p["rows"]) for p in scored] == [(0, 2), (1, 5)]
+        assert json.loads(replies[2][1]) == {"status": "ok"}
+
+    def test_stalled_request_does_not_block_other_clients(self, tenant_root):
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:2].tolist()}).encode()
+        raw = _raw_request("POST", f"/v1/score/{names[0]}", body)
+        with ServeDaemon(_config(root)) as daemon:
+            daemon.score(names[0], X_test[:1])  # load the plan
+            with socket.create_connection(("127.0.0.1", daemon.http.port),
+                                          timeout=10) as stalled:
+                stalled.sendall(raw[:len(raw) // 2])
+                t0 = time.perf_counter()
+                payload = _post(f"{daemon.url}/v1/score/{names[0]}",
+                                {"x": X_test[:2].tolist()})
+                elapsed = time.perf_counter() - t0
+                stalled.sendall(raw[len(raw) // 2:])  # and it completes
+                [(status, _)] = _read_responses(stalled)
+        assert payload["rows"] == 2 and status == 200
+        assert elapsed < 2.0, elapsed
+
+    def test_unread_responses_do_not_block_other_clients(self, tenant_root):
+        root, names, X_test = tenant_root
+        request = _raw_request("POST", f"/v1/score/{names[0]}", json.dumps(
+            {"x": X_test[:64].tolist()}).encode())
+        with ServeDaemon(_config(root)) as daemon:
+            with socket.socket() as reader:
+                reader.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                reader.connect(("127.0.0.1", daemon.http.port))
+                reader.settimeout(1.0)
+                # pipeline requests without reading a reply until the
+                # daemon stops taking them in: its output to this client
+                # is stuck behind a full kernel buffer
+                deadline = time.perf_counter() + 20.0
+                with pytest.raises(TimeoutError):
+                    while time.perf_counter() < deadline:
+                        reader.sendall(request)
+                t0 = time.perf_counter()
+                ctype, body = _get(f"{daemon.url}/healthz")
+                elapsed = time.perf_counter() - t0
+        assert json.loads(body) == {"status": "ok"}
+        assert elapsed < 2.0, elapsed
+
+    def test_peer_closing_mid_body_leaves_the_loop_serving(self, tenant_root):
+        root, names, X_test = tenant_root
+        body = json.dumps({"x": X_test[:4].tolist()}).encode()
+        raw = _raw_request("POST", f"/v1/score/{names[0]}", body)
+        with ServeDaemon(_config(root)) as daemon:
+            for _ in range(3):
+                with socket.create_connection(
+                        ("127.0.0.1", daemon.http.port), timeout=10) as sock:
+                    sock.sendall(raw[:-10])
+            payload = _post(f"{daemon.url}/v1/score/{names[0]}",
+                            {"x": X_test[:4].tolist()})
+            stats = daemon.stats()
+        assert payload["seq"] == 0  # no torn request was admitted
+        assert stats["batcher"]["requests"] == 1
+
+    def test_stop_leaves_no_thread(self, tenant_root):
+        root, names, X_test = tenant_root
+        before = set(threading.enumerate())
+        with ServeDaemon(_config(root)) as daemon:
+            _post(f"{daemon.url}/v1/score/{names[0]}",
+                  {"x": X_test[:2].tolist()})
+            assert len(set(threading.enumerate()) - before) == 1
+        assert set(threading.enumerate()) - before == set()
+
+
 class TestNonFiniteBody:
     def test_nan_token_is_400_and_the_connection_serves_on(self,
                                                            tenant_root):
@@ -288,34 +484,55 @@ class TestStageMetrics:
         assert gc.callbacks == callbacks
 
 
-class _CountingWriter:
-    """Socket-writer proxy recording every write a handler makes."""
+class TestBenchmarkContract:
+    """Every reading perfbench's serve workloads take from a live daemon.
 
-    def __init__(self, raw, log):
-        self._raw = raw
-        self._log = log
+    ``perfbench/wl_serve.py`` snapshots ``/v1/stats`` and the ``_sum`` /
+    ``_count`` series of ``/metrics`` around each load step; a missing key
+    makes a traced run crash instead of reporting.
+    """
 
-    def write(self, data):
-        self._log.append(len(data))
-        return self._raw.write(data)
-
-    def __getattr__(self, name):
-        return getattr(self._raw, name)
-
-
-class _CountingHandler(server_mod._Handler):
-    writes: list = []
-
-    def setup(self):
-        super().setup()
-        self.wfile = _CountingWriter(self.wfile, type(self).writes)
+    def test_stats_and_metrics_carry_the_benchmark_keys(self, tenant_root):
+        root, names, X_test = tenant_root
+        with ServeDaemon(_config(root)) as daemon:
+            for name in names:
+                _post(f"{daemon.url}/v1/score/{name}",
+                      {"x": X_test[:3].tolist()})
+            _, raw = _get(f"{daemon.url}/v1/stats")
+            _, metrics = _get(f"{daemon.url}/metrics")
+        stats = json.loads(raw)
+        for key in ("batches", "requests", "rows", "padded_rows"):
+            assert isinstance(stats["batcher"][key], int), key
+        for key in ("hits", "misses"):
+            assert isinstance(stats["cache"][key], int), key
+        latency = stats["latency"]
+        for name, keys in (("daemon.request_seconds", ("p50", "p99")),
+                           ("daemon.queue_seconds", ("p50", "p99")),
+                           ("daemon.batch_seconds", ("p50", "p99"))):
+            for key in keys:
+                assert latency[name][key] >= 0.0, (name, key)
+        sums = {}
+        for line in metrics.decode().splitlines():
+            match = re.match(
+                r"^(daemon_\w+?_(?:sum|count))(?:\{[^}]*\})? (\S+)$", line)
+            if match:
+                sums[match.group(1)] = float(match.group(2))
+        for family in ("daemon_request_seconds", "daemon_queue_seconds"):
+            assert sums[f"{family}_count"] == len(names), family
+            assert sums[f"{family}_sum"] >= 0.0, family
 
 
 class TestSingleSend:
     def test_one_write_per_response(self, tenant_root, monkeypatch):
         root, names, X_test = tenant_root
-        monkeypatch.setattr(server_mod, "_Handler", _CountingHandler)
-        monkeypatch.setattr(_CountingHandler, "writes", [])
+        writes = []
+        send = server_mod._Connection.send
+
+        def counting_send(self, data):
+            writes.append(len(data))
+            return send(self, data)
+
+        monkeypatch.setattr(server_mod._Connection, "send", counting_send)
         json_headers = {"Content-Type": "application/json"}
         calls = [
             ("POST", f"/v1/score/{names[0]}",
@@ -329,14 +546,14 @@ class TestSingleSend:
         with ServeDaemon(_config(root)) as daemon:
             conn = _connect(daemon)
             for method, path, body, status in calls:
-                before = len(_CountingHandler.writes)
+                before = len(writes)
                 conn.request(method, path, body, json_headers)
                 resp = conn.getresponse()
                 raw = resp.read()
                 assert resp.status == status, path
-                assert len(_CountingHandler.writes) == before + 1, path
+                assert len(writes) == before + 1, path
                 # the single write carried the whole response
-                assert _CountingHandler.writes[-1] > len(raw) > 0
+                assert writes[-1] > len(raw) > 0
             conn.close()
 
     def test_keep_alive_requests_do_not_stall(self, tenant_root):
