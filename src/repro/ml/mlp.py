@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.estimator import Estimator, register_estimator
 from repro.ml.preprocessing import one_hot
 from repro.nn.layers import Dense, Dropout, ReLU
-from repro.nn.losses import SoftmaxCrossEntropy, softmax
+from repro.nn.losses import SoftmaxCrossEntropy, bind_softmax, softmax
 from repro.nn.network import Sequential, iterate_minibatches
 from repro.nn.optimizers import Adam
 from repro.nn.workspace import Workspace
@@ -161,6 +161,18 @@ class MLPClassifier(Estimator):
 
     def predict_proba(self, X) -> np.ndarray:
         return softmax(self.decision_function(X), axis=1)
+
+    def bind_proba(self, X: np.ndarray, ws: Workspace, name: str):
+        """:meth:`predict_proba` of the buffer ``X`` bound for replay.
+
+        Returns ``(ops, proba)`` as :meth:`repro.nn.layers.Layer.bind` does:
+        the network's bound layers, then the bound softmax.
+        """
+        check_is_fitted(self, "network_")
+        check_consistent_features(X, self.n_features_)
+        ops, logits = self.network_.bind(X, ws, name)
+        softmax_ops, proba = bind_softmax(logits, ws, name + ".proba")
+        return ops + softmax_ops, proba
 
     def predict(self, X) -> np.ndarray:
         return self.classes_[np.argmax(self.decision_function(X), axis=1)]

@@ -7,11 +7,23 @@ scaling / one-hot label encoding for the baselines.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.core.estimator import Estimator, register_estimator
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_array, check_consistent_features, check_is_fitted
+
+
+def _minmax(X, out, data_min, scale, lo, constant, mid) -> None:
+    """``lo + (X - data_min) * scale`` into ``out``; ``constant`` columns
+    get ``mid``."""
+    np.subtract(X, data_min, out=out)
+    np.multiply(out, scale, out=out)
+    np.add(out, lo, out=out)
+    if constant is not None:
+        np.copyto(out, mid, where=constant)
 
 
 @register_estimator("minmax_scaler")
@@ -57,13 +69,25 @@ class MinMaxScaler(Estimator):
     def transform(self, X) -> np.ndarray:
         check_is_fitted(self, "data_min_")
         X = check_array(X)
-        check_consistent_features(X, self.data_min_.shape[0])
-        lo, hi = self.feature_range
-        out = lo + (X - self.data_min_) * self._scale
-        constant = self._scale == 0.0
-        if np.any(constant):
-            out[:, constant] = (lo + hi) / 2.0
+        ops, out = self.bind(X, None, "")
+        ops[0]()
         return out
+
+    def bind(self, X: np.ndarray, ws, name: str):
+        """:meth:`transform` of the buffer ``X`` bound for replay.
+
+        Returns ``(ops, out)`` as :meth:`repro.nn.layers.Layer.bind` does;
+        ``out`` comes from the workspace ``ws``, or is a new array when
+        ``ws`` is None.
+        """
+        check_is_fitted(self, "data_min_")
+        check_consistent_features(X, self.data_min_.shape[0])
+        out = np.empty(X.shape) if ws is None else ws.get(name, X.shape)
+        lo, hi = self.feature_range
+        constant = self._scale == 0.0
+        return [partial(_minmax, X, out, self.data_min_, self._scale, lo,
+                        constant if constant.any() else None,
+                        (lo + hi) / 2.0)], out
 
     def fit_transform(self, X) -> np.ndarray:
         return self.fit(X).transform(X)

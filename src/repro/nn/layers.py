@@ -29,9 +29,19 @@ All float64 computations are bit-identical to the pre-fusion implementations
 frozen in :mod:`repro.nn.reference` (same ufuncs, same operation order);
 random draws are always taken at float64 so the float32 fast path (see
 :meth:`Layer.to`) consumes the RNG stream identically.
+
+**Bound inference.**  :meth:`Layer.bind` turns a layer's inference forward
+of one input buffer into a list of zero-argument ops over fixed buffers, for
+callers that score the same row count again and again (the compiled serve
+plan, :mod:`repro.serve.plan`).  The ops run no validation, no workspace
+look-up and no dispatch.  ``Dense``, ``BatchNorm1d``, ``ReLU`` and ``Tanh``
+bind the same module-level functions their ``forward(training=False)`` runs,
+so there is one copy of the inference math.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -73,8 +83,57 @@ class Layer:
         self._ws.clear()
         return self
 
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        """Bind this layer's inference forward of ``x`` for replay.
+
+        Returns ``(ops, out)``: calling the ops in order writes
+        ``forward(x, training=False)`` into ``out``, a buffer that ``ws``
+        holds under keys starting with ``name``.  The ops read ``x`` on every
+        call, so a caller refills ``x`` in place and replays them; ``x``
+        must stay C-contiguous, as workspace buffers are.  Nothing is
+        validated at replay, and parameters are read as they are at bind
+        time where the layer says so (``BatchNorm1d``).  This default
+        replays ``forward`` and copies its output.
+        """
+        probe = self.forward(x, training=False)
+        out = ws.get(name, probe.shape, probe.dtype)
+        forward = self.forward
+
+        def op() -> None:
+            np.copyto(out, forward(x, training=False))
+
+        return [op], out
+
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
+
+
+def _replay(bound) -> np.ndarray:
+    """Run bound ``(ops, out)`` once; returns ``out``."""
+    ops, out = bound
+    for op in ops:
+        op()
+    return out
+
+
+def _dense(products, out: np.ndarray, b: np.ndarray) -> None:
+    """Inference ``Dense``: the tiled products, then the bias."""
+    for x, W, o in products:
+        np.matmul(x, W, out=o)
+    out += b
+
+
+def _relu(x: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
+    np.greater(x, 0, out=mask)
+    np.multiply(x, mask, out=out)
+
+
+def _normalize(x, mean, std, gamma, beta, x_hat, out) -> None:
+    """``(x - mean) / std * gamma + beta``, keeping ``x_hat`` for backward."""
+    np.subtract(x, mean, out=x_hat)
+    np.divide(x_hat, std, out=x_hat)
+    np.multiply(x_hat, gamma, out=out)
+    out += beta
 
 
 class Dense(Layer):
@@ -118,33 +177,41 @@ class Dense(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._x: np.ndarray | None = None
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _check(self, x: np.ndarray) -> None:
         if x.shape[1] != self.in_features:
             raise ValidationError(
                 f"Dense expected {self.in_features} input features, got {x.shape[1]}"
             )
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        if not training:
+            out = _replay(self.bind(x, self._ws, "out"))
+            self._x = x
+            return out
+        self._check(x)
         self._x = x
-        W, b = self.params["W"], self.params["b"]
-        rows = x.shape[0]
-        out = self._ws.get("out", (rows, self.out_features), W.dtype)
-        if training:
-            np.matmul(x, W, out=out)
-        else:
-            if rows > ROW_TILE and rows % ROW_TILE == 0:
-                # one GEMM per ROW_TILE-row slice: every row is computed
-                # inside an M=ROW_TILE call, whatever else shares the batch
-                x3 = x.reshape(-1, ROW_TILE, self.in_features)
-                out3 = out.reshape(-1, ROW_TILE, self.out_features)
-            else:
-                x3, out3 = x, out
-            if self.out_features <= COL_BLOCK:
-                np.matmul(x3, W, out=out3)
-            else:
-                for c in range(0, self.out_features, COL_BLOCK):
-                    cols = slice(c, c + COL_BLOCK)
-                    np.matmul(x3, W[:, cols], out=out3[..., cols])
-        out += b
+        W = self.params["W"]
+        out = self._ws.get("out", (x.shape[0], self.out_features), W.dtype)
+        np.matmul(x, W, out=out)
+        out += self.params["b"]
         return out
+
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        self._check(x)
+        W = self.params["W"]
+        rows = x.shape[0]
+        out = ws.get(name, (rows, self.out_features), W.dtype)
+        x3, out3 = x, out
+        if rows > ROW_TILE and rows % ROW_TILE == 0:
+            # one GEMM per ROW_TILE-row slice: every row is computed
+            # inside an M=ROW_TILE call, whatever else shares the batch
+            x3 = x.reshape(-1, ROW_TILE, self.in_features)
+            out3 = out.reshape(-1, ROW_TILE, self.out_features)
+        products = [
+            (x3, W[:, c:c + COL_BLOCK], out3[..., c:c + COL_BLOCK])
+            for c in range(0, self.out_features, COL_BLOCK)
+        ] if self.out_features > COL_BLOCK else [(x3, W, out3)]
+        return [partial(_dense, products, out, self.params["b"])], out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x = self._x
@@ -160,12 +227,16 @@ class ReLU(Layer):
     """Rectified linear unit."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        mask = self._ws.get("mask", x.shape, bool)
-        np.greater(x, 0, out=mask)
-        self._mask = mask
+        mask = self._ws.get("out.mask", x.shape, bool)
         out = self._ws.get("out", x.shape, x.dtype)
-        np.multiply(x, mask, out=out)
+        _relu(x, mask, out)
+        self._mask = mask
         return out
+
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        mask = ws.get(name + ".mask", x.shape, bool)
+        out = ws.get(name, x.shape, x.dtype)
+        return [partial(_relu, x, mask, out)], out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         gin = self._ws.get("gin", grad_output.shape, grad_output.dtype)
@@ -202,10 +273,12 @@ class Tanh(Layer):
     """Hyperbolic tangent (generator output for continuous columns)."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = self._ws.get("out", x.shape, x.dtype)
-        np.tanh(x, out=out)
-        self._out = out
-        return out
+        self._out = _replay(self.bind(x, self._ws, "out"))
+        return self._out
+
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        out = ws.get(name, x.shape, x.dtype)
+        return [partial(np.tanh, x, out=out)], out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         gin = self._ws.get("gin", grad_output.shape, grad_output.dtype)
@@ -267,6 +340,9 @@ class Dropout(Layer):
         np.multiply(x, mask, out=out)
         return out
 
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        return [], x
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             return grad_output
@@ -300,19 +376,27 @@ class BatchNorm1d(Layer):
         self.running_var = np.ascontiguousarray(self.running_var, dtype=dtype)
         return self
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def _check(self, x: np.ndarray) -> None:
         if x.shape[1] != self.num_features:
             raise ValidationError(
                 f"BatchNorm1d expected {self.num_features} features, got {x.shape[1]}"
             )
+
+    def _std_of(self, var: np.ndarray, std: np.ndarray) -> np.ndarray:
+        np.add(var, self.eps, out=std)
+        np.sqrt(std, out=std)
+        return std
+
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        self._check(x)
         d = self.num_features
-        dt = x.dtype
+        ws, dt = self._ws, x.dtype
         if training:
-            mean = self._ws.get("mean", (d,), dt)
-            var = self._ws.get("var", (d,), dt)
+            mean = ws.get("mean", (d,), dt)
+            var = ws.get("var", (d,), dt)
             np.mean(x, axis=0, out=mean)
             np.var(x, axis=0, out=var)
-            tmp = self._ws.get("stat_tmp", (d,), dt)
+            tmp = ws.get("stat_tmp", (d,), dt)
             self.running_mean *= self.momentum
             np.multiply(mean, 1 - self.momentum, out=tmp)
             self.running_mean += tmp
@@ -321,19 +405,26 @@ class BatchNorm1d(Layer):
             self.running_var += tmp
         else:
             mean, var = self.running_mean, self.running_var
-        std = self._ws.get("std", (d,), dt)
-        np.add(var, self.eps, out=std)
-        np.sqrt(std, out=std)
-        self._std = std
-        x_hat = self._ws.get("x_hat", x.shape, dt)
-        np.subtract(x, mean, out=x_hat)
-        np.divide(x_hat, std, out=x_hat)
-        self._x_hat = x_hat
+        self._std = self._std_of(var, ws.get("out.std", (d,), dt))
+        self._x_hat = ws.get("out.x_hat", x.shape, dt)
         self._training = training
-        out = self._ws.get("out", x.shape, dt)
-        np.multiply(x_hat, self.params["gamma"], out=out)
-        out += self.params["beta"]
+        out = ws.get("out", x.shape, dt)
+        _normalize(x, mean, self._std, self.params["gamma"],
+                   self.params["beta"], self._x_hat, out)
         return out
+
+    def bind(self, x: np.ndarray, ws: Workspace, name: str):
+        """Inference normalization with ``sqrt(running_var + eps)`` taken
+        now: the ops read the running statistics as of this call."""
+        self._check(x)
+        dt = x.dtype
+        std = self._std_of(self.running_var,
+                           ws.get(name + ".std", (self.num_features,), dt))
+        x_hat = ws.get(name + ".x_hat", x.shape, dt)
+        out = ws.get(name, x.shape, dt)
+        return [partial(_normalize, x, self.running_mean, std,
+                        self.params["gamma"], self.params["beta"], x_hat,
+                        out)], out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         x_hat, std = self._x_hat, self._std

@@ -13,6 +13,8 @@ and valid until its next ``forward`` call.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.nn.workspace import Workspace
@@ -144,11 +146,34 @@ class SoftmaxCrossEntropy(Loss):
         return self._probs
 
 
+def _softmax(z: np.ndarray, out: np.ndarray, peak: np.ndarray,
+             axis: int) -> None:
+    """Softmax of ``z`` into ``out``; ``peak`` holds the row maxima, then sums."""
+    # the ufunc reductions np.max and np.sum call, without their wrappers
+    np.maximum.reduce(z, axis=axis, keepdims=True, out=peak)
+    np.subtract(z, peak, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=axis, keepdims=True, out=peak)
+    np.divide(out, peak, out=out)
+
+
 def softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=axis, keepdims=True)
+    z = np.asarray(z)
+    if z.dtype.kind != "f":
+        z = z.astype(np.float64)
+    out = np.empty_like(z)
+    peak = np.empty(z.shape[:axis % z.ndim] + (1,)
+                    + z.shape[axis % z.ndim + 1:], dtype=z.dtype)
+    _softmax(z, out, peak, axis)
+    return out
+
+
+def bind_softmax(z: np.ndarray, ws: Workspace, name: str):
+    """Bound row softmax of a 2-D ``z`` (see :meth:`repro.nn.layers.Layer.bind`)."""
+    out = ws.get(name, z.shape, z.dtype)
+    peak = ws.get(name + ".peak", (z.shape[0], 1), z.dtype)
+    return [partial(_softmax, z, out, peak, 1)], out
 
 
 def supervised_contrastive_loss(

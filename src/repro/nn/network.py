@@ -23,6 +23,16 @@ class Sequential(Layer):
             x = layer.forward(x, training=training)
         return x
 
+    def bind(self, x: np.ndarray, ws, name: str):
+        """Every layer's bound inference ops, in order (see :meth:`Layer.bind`)."""
+        if type(self).forward is not Sequential.forward:
+            return super().bind(x, ws, name)  # a custom forward: replay it
+        ops = []
+        for i, layer in enumerate(self.layers):
+            layer_ops, x = layer.bind(x, ws, f"{name}.{i}")
+            ops += layer_ops
+        return ops, x
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)

@@ -52,12 +52,6 @@ class Workspace:
             return buf[:shape[0]]
         return buf
 
-    def zeros(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        """Like :meth:`get`, but the buffer is zero-filled on every call."""
-        buf = self.get(name, shape, dtype)
-        buf[...] = 0.0
-        return buf
-
     def clear(self) -> None:
         """Drop every buffer (e.g. after a dtype switch)."""
         self._bufs.clear()

@@ -199,6 +199,57 @@ class MetricsRegistry:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+class _Resolved:
+    """One registry's metric objects, each resolved on its first use."""
+
+    __slots__ = ("registry", "_memo")
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = registry
+        self._memo: dict[tuple, Counter | Gauge | Histogram] = {}
+
+    def _get(self, cls, name: str, labels: dict):
+        key = (cls, name, *labels.items())
+        metric = self._memo.get(key)
+        if metric is None:
+            metric = self._memo[key] = self.registry._get(name, cls, labels)
+        return metric
+
+    def counter(self, name: str, **labels) -> Counter:
+        return self._get(Counter, name, labels)
+
+    def gauge(self, name: str, **labels) -> Gauge:
+        return self._get(Gauge, name, labels)
+
+    def histogram(self, name: str, **labels) -> Histogram:
+        return self._get(Histogram, name, labels)
+
+
+class MetricHandles:
+    """Metric objects of the installed registry, resolved once and kept.
+
+    A hot path keeps one of these and calls :meth:`current` where it
+    would call :func:`get_metrics`.  ``current`` returns ``None`` under a
+    disabled registry, else an object with the registry's ``counter`` /
+    ``gauge`` / ``histogram`` accessors that find a metric by one dict
+    look-up instead of building its name+label key.  An ``is`` test
+    against the installed registry resolves afresh after
+    :func:`set_metrics`.  Each metric is still created in the registry on
+    its first use, so families appear exactly when they would otherwise.
+    """
+
+    __slots__ = ("_resolved",)
+
+    def __init__(self) -> None:
+        self._resolved: _Resolved | None = None
+
+    def current(self) -> _Resolved | None:
+        resolved = self._resolved
+        if resolved is None or resolved.registry is not _registry:
+            resolved = self._resolved = _Resolved(_registry)
+        return resolved if resolved.registry.enabled else None
+
+
 _NULL_COUNTER = _NullCounter()
 _NULL_GAUGE = _NullGauge()
 _NULL_HISTOGRAM = _NullHistogram()

@@ -43,12 +43,14 @@ from collections import deque
 
 import numpy as np
 
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import MetricHandles, get_metrics
 from repro.serve.plan import padded_rows
 from repro.serve.server import DaemonHTTPServer
 from repro.utils.errors import ValidationError
 
 __all__ = ["MicroBatcher", "PendingRequest"]
+
+_METRICS = MetricHandles()
 
 
 class PendingRequest:
@@ -199,13 +201,13 @@ class MicroBatcher:
                 self._order.append(tenant)
             queue.append(pending)
             self._depth += 1
-            registry = get_metrics()
-            if registry.enabled:
-                registry.counter("daemon.requests_total", tenant=tenant).inc()
-                registry.counter("daemon.rows_total", tenant=tenant).inc(
+            metrics = _METRICS.current()
+            if metrics is not None:
+                metrics.counter("daemon.requests_total", tenant=tenant).inc()
+                metrics.counter("daemon.rows_total", tenant=tenant).inc(
                     X.shape[0]
                 )
-                registry.gauge("daemon.queue_depth").set(self._depth)
+                metrics.gauge("daemon.queue_depth").set(self._depth)
         wakeup = self._wakeup
         if wakeup is not None:
             wakeup()
@@ -235,9 +237,9 @@ class MicroBatcher:
             if queue:
                 self._order.append(tenant)
             self._depth -= len(batch)
-            registry = get_metrics()
-            if registry.enabled:
-                registry.gauge("daemon.queue_depth").set(self._depth)
+            metrics = _METRICS.current()
+            if metrics is not None:
+                metrics.gauge("daemon.queue_depth").set(self._depth)
             return batch
 
     def drain(self) -> None:
@@ -257,14 +259,17 @@ class MicroBatcher:
     def _execute(self, batch: list[PendingRequest]) -> None:
         tenant = batch[0].tenant
         t0 = time.perf_counter()
-        registry = get_metrics()
+        metrics = _METRICS.current()
         try:
-            entry = self.cache.get(tenant)
+            # the entry this tenant's last admitted request found: its
+            # submit already looked for a new bundle
+            entry = self.cache.hot(tenant)
             probas = entry.plan.execute(
                 [p.X for p in batch], capacity=self.cache.micro_batch_rows
             )
         except Exception as exc:  # noqa: BLE001 — the executor must not die
-            registry.counter("daemon.errors_total").inc(len(batch))
+            if metrics is not None:
+                metrics.counter("daemon.errors_total").inc(len(batch))
             for pending in batch:
                 pending.error = exc
                 pending._event.set()
@@ -280,19 +285,17 @@ class MicroBatcher:
         self.requests += len(batch)
         self.rows += rows
         self.padded_rows += executed
-        if registry.enabled:
-            registry.counter("daemon.batches_total").inc()
-            registry.counter("daemon.padded_rows_total").inc(executed)
-            registry.histogram("daemon.batch_rows").observe(rows)
-            registry.histogram("daemon.batch_requests").observe(len(batch))
-            registry.histogram("daemon.batch_seconds").observe(now - t0)
+        if metrics is not None:
+            metrics.counter("daemon.batches_total").inc()
+            metrics.counter("daemon.padded_rows_total").inc(executed)
+            metrics.histogram("daemon.batch_rows").observe(rows)
+            metrics.histogram("daemon.batch_requests").observe(len(batch))
+            metrics.histogram("daemon.batch_seconds").observe(now - t0)
+            queue_seconds = metrics.histogram("daemon.queue_seconds")
+            request_seconds = metrics.histogram("daemon.request_seconds")
             for pending in batch:
-                registry.histogram("daemon.queue_seconds").observe(
-                    t0 - pending.enqueued
-                )
-                registry.histogram("daemon.request_seconds").observe(
-                    now - pending.enqueued
-                )
+                queue_seconds.observe(t0 - pending.enqueued)
+                request_seconds.observe(now - pending.enqueued)
         for pending, proba in zip(batch, probas):
             pending.proba = proba
             pending.plan = entry.plan

@@ -8,13 +8,25 @@ buffers.  The plan's probabilities are **bit-identical** to
 ``FSGANPipeline.predict_proba`` at both reconstruction dtypes, float32 (the
 default) and float64.
 
-:meth:`InferencePlan.execute` holds the only copy of that chain.  It scores
-a list of request blocks in one pass, drawing noise once per block — the
-daemon's bit-exact micro-batch path.  Under a row capacity the blocks are
-zero-padded to the next multiple of :data:`~repro.nn.layers.ROW_TILE`
-rows, so every generator and classifier GEMM runs on fixed 16-row slices
-and a row's result never depends on what shares its batch.
-``predict_proba`` and ``transform`` are the same chain without padding.
+The chain is **bound once per executed row count**: the first batch of a
+row count looks up every stage buffer, validates every layer shape and
+takes the batch-norm constants; later batches of that count replay the
+bound ops with no look-up, validation or dispatch.  The ops come from
+``MinMaxScaler.bind``, :meth:`repro.nn.layers.Layer.bind` and the
+downstream model's ``bind_proba`` (where it has one, as the MLP does):
+the same functions their ``transform`` / ``forward`` / ``predict_proba``
+run, so the math has one copy.  Every buffer is a prefix view of one
+grow-only buffer per stage in the plan's :class:`Workspace`; when a batch
+outgrows them, the chains bound to the smaller ones are dropped and
+rebound, so memory stays one buffer set.
+
+:meth:`InferencePlan.execute` scores a list of request blocks in one pass,
+drawing noise once per block — the daemon's bit-exact micro-batch path.
+Under a row capacity the blocks are zero-padded to the next multiple of
+:data:`~repro.nn.layers.ROW_TILE` rows, so every generator and classifier
+GEMM runs on fixed 16-row slices and a row's result never depends on what
+shares its batch.  ``predict_proba`` and ``transform`` are the same chain
+without padding.
 
 The plan owns a *clone* of the reconstruction model's RNG, snapshotted at
 compile time, so serving never perturbs the pipeline's noise stream (and
@@ -25,6 +37,8 @@ would have produced from S.
 from __future__ import annotations
 
 import time
+from functools import partial
+from operator import setitem
 
 import numpy as np
 
@@ -33,7 +47,7 @@ from repro.gan.cgan import ConditionalGAN
 from repro.gan.vae import ConditionalVAE
 from repro.nn.layers import ROW_TILE
 from repro.nn.workspace import Workspace
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import MetricHandles
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_is_fitted
@@ -42,6 +56,10 @@ __all__ = ["InferencePlan", "clone_rng", "fast_forward_rng", "padded_rows"]
 
 #: ``serve.stage_seconds`` labels, in chain order
 _STAGES = ("scale", "split", "generate", "merge", "predict")
+#: bound chains a plan keeps; unpadded scoring binds one per row count
+MAX_CHAINS = 32
+
+_METRICS = MetricHandles()
 
 
 def _lap(laps: list, t0: float) -> float:
@@ -94,12 +112,32 @@ def fast_forward_rng(plan: "InferencePlan", n_values: int) -> "InferencePlan":
     return plan
 
 
+class _Chain:
+    """The plan's inference chain bound at one executed row count.
+
+    ``X`` is the input buffer the segments are stacked into; each stage is
+    a list of bound ops over fixed buffers.  ``g_in`` and ``z`` (generator
+    input and noise) are filled per batch, because where each segment's
+    rows and draws go depends on the segment sizes.
+    """
+
+    __slots__ = ("X", "scaled", "scale", "split", "X_inv", "g_in", "z",
+                 "generate", "gen_out", "var_hat", "merge", "merged",
+                 "predict", "proba")
+
+
+def _run(ops) -> None:
+    for op in ops:
+        op()
+
+
 class InferencePlan:
     """Preallocated batch scorer compiled from a fitted :class:`FSGANPipeline`.
 
     Stage buffers live in a plan-owned :class:`Workspace` (one grow-only
     buffer per stage); once a batch of the largest size has run, the plan
-    allocates nothing but the downstream model's own output.  Build via
+    allocates nothing but its per-request result copies (and the downstream
+    model's output when that model has no ``bind_proba``).  Build via
     :meth:`FSGANPipeline.compile`.
     """
 
@@ -111,14 +149,11 @@ class InferencePlan:
             raise ValidationError("n_draws must be >= 1")
         self.n_draws = int(n_draws)
         self._ws = Workspace()
+        #: bound chains by executed row count, all over the current buffers
+        self._chains: dict[int, _Chain] = {}
+        self._bound_rows = 0
 
-        scaler = pipeline.scaler_
-        self._lo, self._hi = scaler.feature_range
-        self._data_min = scaler.data_min_
-        self._scale = scaler._scale
-        self._constant = scaler._scale == 0.0
-        self._any_constant = bool(np.any(self._constant))
-
+        self._scaler = pipeline.scaler_
         separator = pipeline.separator_
         self._inv_idx = np.ascontiguousarray(separator.invariant_indices_)
         self._var_idx = np.ascontiguousarray(separator.variant_indices_)
@@ -172,60 +207,93 @@ class InferencePlan:
             raise ValidationError("X contains NaN or infinite values")
         return X
 
-    # -- stages (each replays the live pipeline's exact ufunc sequence) ------
+    # -- binding -------------------------------------------------------------
 
-    def _scale_stage(self, X: np.ndarray) -> np.ndarray:
-        ws = self._ws
-        out = ws.get("scaled", X.shape)
-        # same op order as MinMaxScaler.transform: lo + (X - min) * scale
-        np.subtract(X, self._data_min, out=out)
-        np.multiply(out, self._scale, out=out)
-        np.add(out, self._lo, out=out)
-        if self._any_constant:
-            out[:, self._constant] = (self._lo + self._hi) / 2.0
-        return out
+    def _chain_for(self, rows: int) -> _Chain:
+        """The chain bound at ``rows`` executed rows, binding it if new."""
+        chain = self._chains.get(rows)
+        if chain is None:
+            if rows > self._bound_rows or len(self._chains) >= MAX_CHAINS:
+                # growing buffers would leave the bound chains on the old,
+                # smaller ones: drop them, so memory stays one buffer set
+                self._chains.clear()
+                self._bound_rows = max(rows, self._bound_rows)
+            chain = self._chains[rows] = self._bind(rows)
+        return chain
 
-    def _split_stage(self, Xs: np.ndarray) -> np.ndarray:
-        inv = self._ws.get("inv", (Xs.shape[0], self._n_inv))
-        np.take(Xs, self._inv_idx, axis=1, out=inv)
-        return inv
+    def _bind(self, rows: int) -> _Chain:
+        """Bind scale → split → reconstruct → merge → predict at ``rows``."""
+        ws, c = self._ws, _Chain()
+        c.X = ws.get("padded", (rows, self._n_features))
+        c.scale, Xs = self._scaler.bind(c.X, ws, "scaled")
+        c.scaled = Xs
+        X_inv = c.X_inv = ws.get("inv", (rows, self._n_inv))
+        c.split = [partial(np.take, Xs, self._inv_idx, axis=1, out=X_inv)]
 
-    def _reconstruct_stage(self, X_inv: np.ndarray,
-                           sizes: list[int]) -> np.ndarray:
-        """Variant block for every row, drawing noise once per segment."""
-        recon, ws, n_draws = self._recon, self._ws, self.n_draws
-        rows = X_inv.shape[0]
+        recon, n_draws = self._recon, self.n_draws
+        c.g_in = c.z = None
+        c.var_hat = ws.get("var_hat", (rows, self._n_var))
         if isinstance(recon, VanillaAutoencoder):
-            var_hat = ws.get("var_hat", (rows, self._n_var))
-            var_hat[...] = recon.network_.forward(X_inv, training=False)
-            return var_hat
-        if isinstance(recon, ConditionalGAN):
-            network, code_dim = recon.generator_, recon.noise_dim
-        elif isinstance(recon, ConditionalVAE):
-            network, code_dim = recon.decoder_, recon.latent_dim
-        else:  # identity reconstructor (empty variant block)
-            return ws.zeros("var_hat", (rows, self._n_var))
-        dt = getattr(recon, "_dtype", np.dtype(np.float64))
-        n_inv = self._n_inv
-        g_in = ws.get("g_in", (n_draws * rows, n_inv + code_dim), dt)
-        z = ws.get("z", (n_draws * rows, code_dim), np.float64)
-        off = 0
-        for n in sizes:
-            g_off = n_draws * off
-            block = slice(g_off, g_off + n_draws * n)
-            # one draw per segment, in list order — the exact RNG
-            # consumption of scoring each segment on its own
-            self._rng.standard_normal(out=z[block])
-            self.rng_draws += z[block].size
-            for d in range(n_draws):
-                g_in[g_off + d * n:g_off + (d + 1) * n, :n_inv] = (
-                    X_inv[off:off + n]
-                )
-            g_in[block, n_inv:] = z[block]
-            off += n
-        g_in[n_draws * off:] = 0.0
-        out = network.forward(g_in, training=False)
-        var_hat = ws.zeros("var_hat", (rows, self._n_var))
+            c.generate, out = recon.network_.bind(X_inv, ws, "recon")
+            c.generate.append(partial(np.copyto, c.var_hat, out))
+        elif isinstance(recon, (ConditionalGAN, ConditionalVAE)):
+            if isinstance(recon, ConditionalGAN):
+                network, code_dim = recon.generator_, recon.noise_dim
+            else:
+                network, code_dim = recon.decoder_, recon.latent_dim
+            dt = getattr(recon, "_dtype", np.dtype(np.float64))
+            c.g_in = ws.get("g_in", (n_draws * rows, self._n_inv + code_dim),
+                            dt)
+            c.z = ws.get("z", (n_draws * rows, code_dim), np.float64)
+            c.generate, c.gen_out = network.bind(c.g_in, ws, "recon")
+        else:  # identity reconstructor: the variant block has no columns
+            c.generate = []
+
+        merged = c.merged = ws.get("merged", (rows, self._n_features))
+        c.merge = [partial(setitem, merged, (slice(None), self._inv_idx), X_inv),
+                   partial(setitem, merged, (slice(None), self._var_idx),
+                           c.var_hat)]
+        bind_proba = getattr(self.model, "bind_proba", None)
+        if bind_proba is not None:
+            c.predict, c.proba = bind_proba(merged, ws, "model")
+        else:
+            c.predict, c.proba = None, None
+        return c
+
+    # -- execution -----------------------------------------------------------
+
+    def _generate(self, c: _Chain, sizes: list[int], m: int) -> None:
+        """Variant block of the live rows, drawing noise once per segment."""
+        if c.g_in is None:  # deterministic reconstructor
+            _run(c.generate)
+            return
+        n_draws, n_inv, g_in, z = self.n_draws, self._n_inv, c.g_in, c.z
+        live = n_draws * m
+        # segment s owns the n_draws * n_s noise rows after those of the
+        # segments before it, so one draw over all live rows is the exact
+        # RNG consumption of one draw per segment in list order
+        self._rng.standard_normal(out=z[:live])
+        self.rng_draws += z[:live].size
+        if n_draws == 1:
+            g_in[:m, :n_inv] = c.X_inv[:m]
+        else:
+            off = 0
+            for n in sizes:
+                g_off = n_draws * off
+                for d in range(n_draws):
+                    g_in[g_off + d * n:g_off + (d + 1) * n, :n_inv] = (
+                        c.X_inv[off:off + n]
+                    )
+                off += n
+        g_in[:live, n_inv:] = z[:live]
+        g_in[live:] = 0.0
+        _run(c.generate)
+        var_hat, out = c.var_hat, c.gen_out
+        var_hat[...] = 0.0
+        if n_draws == 1:
+            # the draw mean of one draw: x / 1 is exact, so it is skipped
+            var_hat[:m] += out[:m]
+            return
         off = 0
         for n in sizes:
             g_off = n_draws * off
@@ -238,20 +306,13 @@ class InferencePlan:
                 total += draws[d]
             total /= n_draws
             off += n
-        return var_hat
-
-    def _merge_stage(self, X_inv: np.ndarray, X_var: np.ndarray) -> np.ndarray:
-        merged = self._ws.get("merged", (X_inv.shape[0], self._n_features))
-        merged[:, self._inv_idx] = X_inv
-        merged[:, self._var_idx] = X_var
-        return merged
 
     def _stack(self, segments, capacity: int | None):
-        """Validate segments into one zero-padded matrix.
+        """Validate segments and copy them, zero-padded, into a bound chain.
 
-        Returns ``(X, sizes)``.  ``capacity`` bounds the live row count and
-        switches on padding to :func:`padded_rows`; ``None`` means no bound
-        and no padding.
+        Returns ``(chain, sizes)``.  ``capacity`` bounds the live row count
+        and switches on padding to :func:`padded_rows`; ``None`` means no
+        bound and no padding.
         """
         segments = [self.check_request(seg, capacity=capacity)
                     for seg in segments]
@@ -265,54 +326,57 @@ class InferencePlan:
             )
         else:
             rows = padded_rows(m)
-        if len(segments) == 1 and m == rows:
-            return segments[0], sizes
-        X = self._ws.get("padded", (rows, self._n_features))
-        off = 0
+        chain = self._chain_for(rows)
+        X, off = chain.X, 0
         for seg, n in zip(segments, sizes):
             X[off:off + n] = seg
             off += n
         X[m:] = 0.0
-        return X, sizes
+        return chain, sizes
 
-    def _chain(self, X: np.ndarray, sizes: list[int], *,
+    def _chain(self, c: _Chain, sizes: list[int], *,
                predict: bool) -> np.ndarray:
         """Scale → drift update → split → reconstruct → merge (→ predict).
 
-        Runs over the stacked matrix from :meth:`_stack`; the drift tracker
-        sees only the live rows.  Returns the merged workspace buffer, or
-        the model's probabilities when ``predict``.  Every stage opens a
-        span; its ``serve.stage_seconds`` histogram is observed only under
-        an enabled metrics registry.
+        Replays the bound chain over its stacked input; the drift tracker
+        sees only the live rows.  Returns the merged buffer, or the
+        probabilities when ``predict``.  Every stage opens a span; its
+        ``serve.stage_seconds`` histogram is observed only under an
+        enabled metrics registry.
         """
         m = sum(sizes)
         tracer, laps = get_tracer(), []
         t = time.perf_counter()
         with tracer.span("serve.scale", n_samples=m):
-            Xs = self._scale_stage(X)
+            _run(c.scale)
         t = _lap(laps, t)
         if self.drift_tracker is not None:
-            self.drift_tracker.update(Xs[:m])
+            self.drift_tracker.update(c.scaled[:m])
             t = time.perf_counter()  # tracker time is no stage's
         with tracer.span("serve.split"):
-            X_inv = self._split_stage(Xs)
+            _run(c.split)
         t = _lap(laps, t)
         with tracer.span("serve.reconstruct", n_draws=self.n_draws):
-            X_var = self._reconstruct_stage(X_inv, sizes)
+            self._generate(c, sizes, m)
         t = _lap(laps, t)
         with tracer.span("serve.merge"):
-            out = self._merge_stage(X_inv, X_var)
+            _run(c.merge)
         t = _lap(laps, t)
-        self._last_variant = X_var[:m]
+        self._last_variant = c.var_hat[:m]
+        out = c.merged
         if predict:
             with tracer.span("serve.predict"):
-                out = self.model.predict_proba(out)
+                if c.predict is None:
+                    out = self.model.predict_proba(out)
+                else:
+                    _run(c.predict)
+                    out = c.proba
             _lap(laps, t)
-        registry = get_metrics()
-        if registry.enabled:
+        metrics = _METRICS.current()
+        if metrics is not None:
             for stage, seconds in zip(_STAGES, laps):
-                registry.histogram("serve.stage_seconds",
-                                   stage=stage).observe(seconds)
+                metrics.histogram("serve.stage_seconds",
+                                  stage=stage).observe(seconds)
         return out
 
     # -- public surface ------------------------------------------------------
@@ -345,22 +409,22 @@ class InferencePlan:
         if not segments:
             return []
         t0 = time.perf_counter()
-        X, sizes = self._stack(segments, capacity)
+        chain, sizes = self._stack(segments, capacity)
         with get_tracer().span("serve.batch", n_samples=sum(sizes),
-                               padded_rows=X.shape[0],
+                               padded_rows=chain.X.shape[0],
                                requests=len(sizes)):
-            proba = self._chain(X, sizes, predict=True)
+            proba = self._chain(chain, sizes, predict=True)
         out, off = [], 0
         for n in sizes:
             out.append(proba[off:off + n].copy())
             off += n
-        registry = get_metrics()
-        if registry.enabled:
+        metrics = _METRICS.current()
+        if metrics is not None:
             seconds = time.perf_counter() - t0
-            registry.counter("serve_batches").inc()
-            registry.counter("serve_rows").inc(off)
-            registry.histogram("serve.latency").observe(seconds)
-            registry.histogram("serve_batch_seconds").observe(seconds)
+            metrics.counter("serve_batches").inc()
+            metrics.counter("serve_rows").inc(off)
+            metrics.histogram("serve.latency").observe(seconds)
+            metrics.histogram("serve_batch_seconds").observe(seconds)
         return out
 
     def last_variant(self) -> np.ndarray:
@@ -377,8 +441,8 @@ class InferencePlan:
 
         Returns a workspace buffer, valid until the next call.
         """
-        X, sizes = self._stack([X], None)
-        return self._chain(X, sizes, predict=False)
+        chain, sizes = self._stack([X], None)
+        return self._chain(chain, sizes, predict=False)
 
     def predict_proba(self, X) -> np.ndarray:
         """Class probabilities; bit-identical to the live pipeline."""

@@ -17,10 +17,12 @@ Reload semantics:
   content hash over all array payloads and rejects a bundle whose hash
   disagrees with its manifest — a half-written or tampered hot swap never
   reaches the scoring path.
-- **Hot reload is stat-triggered.**  Each cache hit re-stats the bundle;
-  a changed ``(inode, mtime_ns, size)`` evicts the stale entry and reloads
-  (and re-validates) from disk, so publishing a new artifact version is
-  just an atomic file replace (or a lineage pointer flip).  Each hot reload is
+- **Hot reload is stat-triggered.**  Each admitted request re-stats its
+  bundle once (:meth:`PlanCache.get`; its batch then runs on the entry
+  found, :meth:`PlanCache.hot`); a changed ``(inode, mtime_ns, size)``
+  evicts the stale entry and reloads (and re-validates) from disk, so
+  publishing a new artifact version is just an atomic file replace (or a
+  lineage pointer flip), seen by the next request.  Each hot reload is
   timed: ``stats()`` reports the last and total reload seconds and the
   ``daemon.cache_reload_seconds`` histogram observes every one.
 - **The RNG stream survives eviction.**  A compiled plan's noise stream
@@ -43,6 +45,7 @@ promote/abort verdict.
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 import time
@@ -50,7 +53,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.metrics import get_metrics
+from repro.obs.metrics import MetricHandles
 from repro.serve.plan import fast_forward_rng
 from repro.utils.errors import ArtifactError, ValidationError
 
@@ -61,6 +64,8 @@ DEFAULT_CAPACITY = 256
 
 #: tenant names are path components; keep them boring and traversal-proof
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+_METRICS = MetricHandles()
 
 
 def _signature(stat) -> tuple[int, int, int]:
@@ -169,47 +174,47 @@ class PlanCache:
     # -- cache ---------------------------------------------------------------
 
     def get(self, tenant: str) -> TenantEntry:
-        """The hot entry for ``tenant`` — loading, reloading or evicting."""
-        path = self.path_for(tenant)
+        """The hot entry for ``tenant`` — loading, reloading or evicting.
+
+        A hot tenant costs one ``stat`` of its bundle: its name was
+        validated and its path joined when it was loaded.
+        """
         with self._lock:
             entry = self._entries.get(tenant)
-            registry = get_metrics()
+            metrics = _METRICS.current()
             if entry is not None:
+                path = entry.path
                 try:
-                    stat = path.stat()
+                    stat = os.stat(path)
                 except OSError:
                     # bundle deleted out from under us: drop and report
                     self._remember_rng(entry)
                     del self._entries[tenant]
-                    self._publish_gauges(registry)
+                    self._publish_gauges(metrics)
                     raise ArtifactError(f"no artifact file at {path}") from None
                 if _signature(stat) == (entry.inode, entry.mtime_ns,
                                         entry.size):
-                    entry.hits += 1
-                    self.hits += 1
-                    self._entries.move_to_end(tenant)
-                    if registry.enabled:
-                        registry.counter("daemon.cache_hits_total").inc()
-                    return entry
+                    return self._hit(entry, metrics)
                 # stat changed: sha256-validated reload through load_artifact
                 self._remember_rng(entry)
                 del self._entries[tenant]
                 self.reloads += 1
-                if registry.enabled:
-                    registry.counter("daemon.cache_reloads_total").inc()
+                if metrics is not None:
+                    metrics.counter("daemon.cache_reloads_total").inc()
                 t0 = time.perf_counter()
                 entry = self._load(tenant, path)
                 seconds = time.perf_counter() - t0
                 self.reload_seconds_last = seconds
                 self.reload_seconds_total += seconds
-                if registry.enabled:
-                    registry.histogram("daemon.cache_reload_seconds").observe(
+                if metrics is not None:
+                    metrics.histogram("daemon.cache_reload_seconds").observe(
                         seconds
                     )
             else:
+                path = self.path_for(tenant)
                 self.misses += 1
-                if registry.enabled:
-                    registry.counter("daemon.cache_misses_total").inc()
+                if metrics is not None:
+                    metrics.counter("daemon.cache_misses_total").inc()
                 entry = self._load(tenant, path)
             self._entries[tenant] = entry
             self._entries.move_to_end(tenant)
@@ -217,10 +222,33 @@ class PlanCache:
                 _, evicted = self._entries.popitem(last=False)
                 self._remember_rng(evicted)
                 self.evictions += 1
-                if registry.enabled:
-                    registry.counter("daemon.cache_evictions_total").inc()
-            self._publish_gauges(registry)
+                if metrics is not None:
+                    metrics.counter("daemon.cache_evictions_total").inc()
+            self._publish_gauges(metrics)
             return entry
+
+    def hot(self, tenant: str) -> TenantEntry:
+        """The entry :meth:`get` last returned for ``tenant``, without a stat.
+
+        The micro-batcher scores a batch on it: each request's
+        :meth:`get` at admission already looked for a new bundle, so a hot
+        reload is seen by the next request admitted.  A hot entry counts
+        as a hit; one dropped since (eviction, invalidation) is resolved
+        through :meth:`get`.
+        """
+        with self._lock:
+            entry = self._entries.get(tenant)
+            if entry is None:
+                return self.get(tenant)
+            return self._hit(entry, _METRICS.current())
+
+    def _hit(self, entry: TenantEntry, metrics) -> TenantEntry:
+        entry.hits += 1
+        self.hits += 1
+        self._entries.move_to_end(entry.tenant)
+        if metrics is not None:
+            metrics.counter("daemon.cache_hits_total").inc()
+        return entry
 
     def _remember_rng(self, entry: TenantEntry) -> None:
         """Record a dropped entry's noise-stream position for resumption."""
@@ -244,9 +272,9 @@ class PlanCache:
                         # stream where the dropped entry left off
                         fast_forward_rng(plan, draws)
                         self.rng_fast_forwards += 1
-                        registry = get_metrics()
-                        if registry.enabled:
-                            registry.counter(
+                        metrics = _METRICS.current()
+                        if metrics is not None:
+                            metrics.counter(
                                 "daemon.rng_fast_forwards_total"
                             ).inc()
                 else:
@@ -264,9 +292,9 @@ class PlanCache:
             loaded_at=time.time(),
         )
 
-    def _publish_gauges(self, registry) -> None:
-        if registry.enabled:
-            registry.gauge("daemon.tenants_loaded").set(len(self._entries))
+    def _publish_gauges(self, metrics) -> None:
+        if metrics is not None:
+            metrics.gauge("daemon.tenants_loaded").set(len(self._entries))
 
     def invalidate(self, tenant: str | None = None) -> None:
         """Drop one tenant (or all) from the cache; next access reloads.
@@ -283,7 +311,7 @@ class PlanCache:
                 entry = self._entries.pop(tenant, None)
                 if entry is not None:
                     self._remember_rng(entry)
-            self._publish_gauges(get_metrics())
+            self._publish_gauges(_METRICS.current())
 
     # -- shadow mode ---------------------------------------------------------
 

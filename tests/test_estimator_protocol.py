@@ -207,9 +207,11 @@ class TestStateRoundTrips:
             clone.result_.variant_indices, sep.result_.variant_indices)
 
     def test_warm_artifact_fresh_interpreter(self, rng, tmp_path):
+        import os
         import subprocess
         import sys
         import textwrap
+        from pathlib import Path
 
         from repro.core.artifacts import save_artifact
         from repro.core.config import FSConfig
@@ -240,7 +242,9 @@ class TestStateRoundTrips:
             [sys.executable, "-c", script, str(path),
              str(tmp_path / "data.npz")],
             capture_output=True, text=True, check=True,
-            env={"PYTHONPATH": "src", "PATH": "/usr/bin:/bin"},
+            # inherit the environment (PYTHONDONTWRITEBYTECODE among it)
+            env=dict(os.environ, PYTHONPATH=str(
+                Path(__file__).resolve().parents[1] / "src")),
         )
         got = [int(s) for s in proc.stdout.strip().split(",") if s]
         assert got == cold.result_.variant_indices.tolist()

@@ -218,3 +218,51 @@ class TestSequential:
         net2 = Sequential([Dense(3, 5, random_state=0)])
         with pytest.raises(ValidationError, match="shape mismatch"):
             net2.load_state_dict(net1.state_dict())
+
+
+def _trained_batch_norm(rng, width):
+    layer = BatchNorm1d(width)
+    for _ in range(3):  # move the running statistics off their defaults
+        layer.forward(rng.normal(2.0, 3.0, size=(32, width)), training=True)
+    return layer
+
+
+class _Doubled(Sequential):
+    """A Sequential with its own forward: binding replays that forward."""
+
+    def forward(self, x, training=False):
+        return 2.0 * super().forward(x, training=training)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: Dense(7, 5, random_state=0),
+    lambda rng: Dense(7, 300, random_state=0),  # split into column blocks
+    lambda rng: Dense(7, 5, random_state=0).to(np.float32),
+    lambda rng: _trained_batch_norm(rng, 7),
+    lambda rng: ReLU(),
+    lambda rng: Tanh(),
+    lambda rng: LeakyReLU(0.2),
+    lambda rng: Sigmoid(),
+    lambda rng: Dropout(0.5, random_state=0),
+    lambda rng: Sequential([Dense(7, 16, random_state=0), _trained_batch_norm(
+        rng, 16), ReLU(), Dense(16, 4, random_state=1), Tanh()]),
+    lambda rng: _Doubled([Dense(7, 4, random_state=0), ReLU()]),
+], ids=["dense", "dense-wide", "dense-f32", "batchnorm", "relu", "tanh",
+        "leaky-replayed", "sigmoid-replayed", "dropout", "sequential",
+        "custom-forward"])
+@pytest.mark.parametrize("rows", [5, 16, 48])
+def test_bound_ops_replay_the_inference_forward(make, rows, rng):
+    """``bind`` ops re-read their input buffer on every replay and give
+    ``forward(training=False)`` bit for bit."""
+    from repro.nn import Workspace
+
+    layer = make(rng)
+    dtype = getattr(layer, "params", {}).get("W", np.zeros(0)).dtype
+    x = np.empty((rows, 7), dtype=dtype)
+    ops, out = layer.bind(x, Workspace(), "bound")
+    for _ in range(2):
+        x[...] = rng.standard_normal(x.shape)
+        for op in ops:
+            op()
+        np.testing.assert_array_equal(
+            out, layer.forward(x.copy(), training=False))

@@ -10,6 +10,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricHandles,
     MetricsRegistry,
     NullRegistry,
     get_metrics,
@@ -200,3 +201,40 @@ class TestNullRegistry:
     def test_set_metrics_validates(self):
         with pytest.raises(ValidationError):
             set_metrics(object())
+
+
+class TestMetricHandles:
+    def test_follow_a_set_metrics_swap(self):
+        handles = MetricHandles()
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_metrics(None)
+        try:
+            assert handles.current() is None  # the null registry
+            set_metrics(first)
+            handles.current().counter("hits", tenant="a").inc()
+            handles.current().histogram("lat").observe(0.5)
+            set_metrics(second)
+            handles.current().counter("hits", tenant="a").inc(2)
+            assert (handles.current().counter("hits", tenant="a")
+                    is second.counter("hits", tenant="a"))
+            set_metrics(None)
+            assert handles.current() is None
+        finally:
+            set_metrics(previous)
+        assert first.counter("hits", tenant="a").value == 1
+        assert first.histogram("lat").count == 1
+        assert second.counter("hits", tenant="a").value == 2
+        assert "lat" not in second.names()
+
+    def test_metrics_are_created_on_first_use(self):
+        handles, registry = MetricHandles(), MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            metrics = handles.current()
+            assert registry.names() == []
+            metrics.gauge("depth").set(3)
+            assert registry.names() == ["depth"]
+            with pytest.raises(ValidationError, match="already registered"):
+                metrics.counter("depth")
+        finally:
+            set_metrics(previous)

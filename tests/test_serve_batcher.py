@@ -5,6 +5,7 @@ per-request execution — across coalescing patterns, tenants, draw counts
 and cache evict/reload mid-stream.
 """
 
+import os
 import shutil
 import threading
 
@@ -317,3 +318,162 @@ class TestMicroBatcher:
         batcher.stop()
         for p in pendings:
             assert p.result(0.0) is not None
+
+
+#: every series a fixed request sequence leaves in the registry: counter
+#: and gauge values, histogram observation counts
+_SEQUENCE_METRICS = {
+    "daemon.batch_requests": 4,
+    "daemon.batch_rows": 4,
+    "daemon.batch_seconds": 4,
+    "daemon.batches_total": 4,
+    "daemon.cache_evictions_total": 2,
+    "daemon.cache_hits_total": 6,
+    "daemon.cache_misses_total": 4,
+    "daemon.padded_rows_total": 64,
+    "daemon.queue_depth": 0.0,
+    "daemon.queue_seconds": 5,
+    "daemon.request_seconds": 5,
+    "daemon.requests_total{tenant=tenant-00}": 3,
+    "daemon.requests_total{tenant=tenant-01}": 1,
+    "daemon.requests_total{tenant=tenant-02}": 1,
+    "daemon.rng_fast_forwards_total": 1,
+    "daemon.rows_total{tenant=tenant-00}": 13,
+    "daemon.rows_total{tenant=tenant-01}": 1,
+    "daemon.rows_total{tenant=tenant-02}": 4,
+    "daemon.tenants_loaded": 2.0,
+    "serve.latency": 4,
+    "serve.stage_seconds{stage=generate}": 4,
+    "serve.stage_seconds{stage=merge}": 4,
+    "serve.stage_seconds{stage=predict}": 4,
+    "serve.stage_seconds{stage=scale}": 4,
+    "serve.stage_seconds{stage=split}": 4,
+    "serve_batch_seconds": 4,
+    "serve_batches": 4,
+    "serve_rows": 18,
+}
+
+
+def _series(registry) -> dict:
+    out = {}
+    for family, kind, series in registry.collect():
+        for labels, metric in series:
+            key = family + "".join(f"{{{k}={v}}}"
+                                   for k, v in sorted(labels.items()))
+            out[key] = metric.count if kind == "histogram" else metric.value
+    return out
+
+
+class TestServeMetrics:
+    def _run_sequence(self, root, names, X_test):
+        cache = PlanCache(root, capacity=2, micro_batch_rows=CAP)
+        batcher = MicroBatcher(cache)
+        for tenant, lo, hi in ((0, 0, 2), (0, 2, 5), (1, 5, 6)):
+            batcher.submit(names[tenant], X_test[lo:hi])
+        batcher.drain()
+        batcher.submit(names[2], X_test[:4])  # evicts tenant 0
+        batcher.drain()
+        batcher.submit(names[0], X_test[:8])  # reload + fast-forward
+        batcher.drain()
+        bad = X_test[:2].copy()
+        bad[0, 0] = np.nan
+        with pytest.raises(ValidationError):
+            batcher.submit(names[0], bad)
+
+    def test_fixed_sequence_families_and_counts(self, tenant_root):
+        from repro.obs.exporters.prometheus import render_prometheus
+        from repro.obs.metrics import MetricsRegistry, set_metrics
+
+        root, names, X_test = tenant_root
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            self._run_sequence(root, names, X_test)
+        finally:
+            set_metrics(previous)
+        assert _series(registry) == _SEQUENCE_METRICS
+        families = [line.split()[2]
+                    for line in render_prometheus(registry).splitlines()
+                    if line.startswith("# TYPE")]
+        assert sorted(families) == sorted(
+            {key.split("{")[0].replace(".", "_")
+             for key in _SEQUENCE_METRICS})
+
+    def test_serving_follows_a_registry_swap(self, tenant_root):
+        from repro.obs.metrics import MetricsRegistry, set_metrics
+
+        root, names, X_test = tenant_root
+        cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
+        batcher = MicroBatcher(cache)
+        first, second = MetricsRegistry(), MetricsRegistry()
+        previous = set_metrics(first)
+        try:
+            for registry, requests in ((first, 2), (second, 3)):
+                set_metrics(registry)
+                for i in range(requests):
+                    batcher.submit(names[0], X_test[i:i + 1])
+                    batcher.drain()
+        finally:
+            set_metrics(previous)
+        for registry, requests in ((first, 2), (second, 3)):
+            assert registry.counter("daemon.batches_total").value == requests
+            assert registry.histogram("serve.latency").count == requests
+            assert registry.counter(
+                "daemon.requests_total", tenant=names[0]).value == requests
+
+
+class TestPlanCacheStat:
+    def test_one_stat_per_scored_request(self, tenant_root, tmp_path,
+                                         monkeypatch):
+        root, names, X_test = tenant_root
+        shutil.copy(root / f"{names[0]}.npz", tmp_path / f"{names[0]}.npz")
+        bundle = str(tmp_path / f"{names[0]}.npz")
+        batcher = MicroBatcher(PlanCache(tmp_path, micro_batch_rows=CAP))
+        batcher.submit(names[0], X_test[:2])
+        batcher.drain()  # loaded: from here on every request is a hit
+        calls = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and os.fspath(path) == bundle:
+                calls.append(path)
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        for n in (1, 3, 8):
+            batcher.submit(names[0], X_test[:n])
+            batcher.drain()
+        assert len(calls) == 3
+        for i in range(4):  # coalesced into one batch
+            batcher.submit(names[0], X_test[i:i + 2])
+        batcher.drain()
+        assert len(calls) == 7
+        assert batcher.batches == 5
+
+    def test_pointer_flip_is_seen_by_the_next_request(self, tenant_root,
+                                                     tmp_path):
+        from repro.adapt.lineage import ArtifactLineage
+        from repro.core.artifacts import load_artifact
+
+        root, names, X_test = tenant_root
+        lineage = ArtifactLineage(tmp_path)
+        lineage.publish("t", load_artifact(root / f"{names[0]}.npz").estimator,
+                        state="active")
+        candidate = lineage.publish(
+            "t", load_artifact(root / f"{names[1]}.npz").estimator)
+        cache = PlanCache(tmp_path, micro_batch_rows=CAP)
+        batcher = MicroBatcher(cache)
+        X = X_test[:4]
+        first = batcher.submit("t", X)
+        batcher.drain()
+        lineage.promote("t", candidate.content_hash)
+        second = batcher.submit("t", X)
+        batcher.drain()
+        assert cache.reloads == 1
+        assert second.plan is not first.plan
+        assert cache.stats()["loaded"]["t"]["content_hash"] == (
+            candidate.content_hash)
+        for pending, name in ((first, names[0]), (second, names[1])):
+            np.testing.assert_array_equal(
+                pending.result(0.0),
+                _fresh_plan(root, name).execute([X], capacity=CAP)[0])

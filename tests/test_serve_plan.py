@@ -88,6 +88,96 @@ class TestPlanParity:
                 pipe.predict_proba(X_test[:n]))
 
 
+#: segment sizes coalesced into one execution of each padded row count
+_COALESCED = {16: [5, 11], 32: [7, 9, 16], 256: [100, 1, 155]}
+
+
+@pytest.fixture(scope="module")
+def bound_pipelines(tiny_5gc):
+    """Tiny fitted pipelines per (strategy, dtype); "identity" finds no
+    variant feature (alpha far below any p-value), so it reconstructs
+    nothing."""
+    from repro.core.config import FSConfig
+
+    X_few, _, X_test, _ = tiny_5gc.few_shot_split(5, random_state=0)
+    assert X_test.shape[0] >= 256
+    fitted = {}
+    for strategy in ("gan", "vae", "autoencoder", "identity"):
+        for dtype in ("float32", "float64"):
+            fitted[strategy, dtype] = FSGANPipeline(
+                fast_mlp,
+                fs_config=FSConfig(alpha=1e-300) if strategy == "identity"
+                else None,
+                reconstruction_config=ReconstructionConfig(
+                    strategy="gan" if strategy == "identity" else strategy,
+                    epochs=2, noise_dim=3, hidden_size=8, dtype=dtype),
+                random_state=0,
+            ).fit(tiny_5gc.X_source, tiny_5gc.y_source, X_few)
+    assert fitted["identity", "float32"].n_variant_ == 0
+    return fitted, X_test
+
+
+def _buffers(plan):
+    return {key: (id(buf), buf.nbytes) for key, buf in plan._ws._bufs.items()}
+
+
+class TestBoundChain:
+    """The chain bound once per padded row count and replayed."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("n_draws", [1, 3])
+    @pytest.mark.parametrize("strategy",
+                             ["gan", "vae", "autoencoder", "identity"])
+    def test_replay_equals_pipeline_bitwise(self, bound_pipelines, strategy,
+                                            n_draws, dtype):
+        import copy
+
+        fitted, X_test = bound_pipelines
+        pipe = copy.deepcopy(fitted[strategy, dtype])
+        plan = pipe.compile(n_draws=n_draws)
+        coalesced = pipe.compile(n_draws=n_draws)
+        alone = pipe.compile(n_draws=n_draws)
+        before_refit = pipe.compile(n_draws=n_draws)
+        control = pipe.compile(n_draws=n_draws)
+        for rows, sizes in _COALESCED.items():
+            X = X_test[:rows]
+            # twice per row count: the second batch replays the bound chain
+            for replay in (False, True):
+                got = plan.execute([X], capacity=256)[0]
+                np.testing.assert_array_equal(
+                    got, pipe.predict_proba(X, n_draws=n_draws))
+                if not replay:
+                    chain, buffers = plan._chains[rows], _buffers(plan)
+            assert plan._chains[rows] is chain
+            assert _buffers(plan) == buffers  # nothing grew or moved
+
+            cuts = np.cumsum([0] + sizes)
+            segments = [X[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+            together = coalesced.execute(segments, capacity=256)
+            for got, seg in zip(together, segments):
+                np.testing.assert_array_equal(
+                    got, alone.execute([seg], capacity=256)[0])
+
+        # smaller row counts reuse prefix views of the largest buffers, and
+        # no chain keeps a buffer the workspace has outgrown alive
+        grown, largest = _buffers(plan), plan._chains[256]
+        for rows in _COALESCED:
+            plan.execute([X_test[:rows]], capacity=256)
+            for a, b in ((plan._chains[rows].X, largest.X),
+                         (plan._chains[rows].merged, largest.merged)):
+                assert np.shares_memory(a, b)
+        assert _buffers(plan) == grown
+
+        # two plans at the same stream position: one scores before the
+        # refit, the other after it
+        X = X_test[:32]
+        expected = control.execute([X], capacity=256)[0]
+        if strategy != "identity":
+            pipe.refit_reconstruction()
+        np.testing.assert_array_equal(
+            before_refit.execute([X], capacity=256)[0], expected)
+
+
 class TestPlanValidation:
     def test_unfitted_pipeline_rejected(self):
         from repro.utils.errors import NotFittedError
