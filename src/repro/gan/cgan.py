@@ -232,8 +232,10 @@ class ConditionalGAN(Estimator):
 
         self._serve_ws = Workspace()
 
-        with trainer.lane(rows=batch, updates=self.epochs * n_batches,
-                          d_steps=self.d_steps) as forked:
+        # the row count of every update: an epoch's last batch may be short
+        last = n - batch * (n_batches - 1)
+        sizes = ([batch] * (n_batches - 1) + [last]) * self.epochs
+        with trainer.lane(sizes=sizes, d_steps=self.d_steps) as forked:
             # whether the generator half ran in a forked lane process
             self.train_lane_ = forked
             for epoch in range(self.epochs):

@@ -65,28 +65,41 @@ of that step, runs the D step on the fake, and finally waits for the last
 fake and runs the generator step's D forward, loss and input-gradient
 backward, and publishes that gradient.  The lane runs the ``k + 1`` G
 forwards, publishing each fake as it is made (the activations of the last
-stay for the backward), waits for the gradient, then runs the G backward
-and G's Adam step.  Every op keeps exactly the inputs of the serial update:
+stay for the backward), draws the next update's dropout masks, waits for
+the gradient, then runs the G backward and G's Adam step.  Every op keeps
+exactly the inputs of the serial update:
 
 - G's parameters change only at its Adam step, at the end of the minibatch;
 - the BN running statistics are updated in the same noise order;
 - no D step reads G state;
-- the dropout RNGs belong to the D layers and stay in the parent.
+- the dropout masks read no parameter: each dropout RNG draws one block
+  per D forward, in the forward order, whichever process draws it.  The
+  lane draws them from its fork-time copy of both dropout RNGs, one update
+  ahead, in the window where it would otherwise wait for the gradient;
+  the inline lane draws each forward's masks at its point of use.
 
-The lane is forked before the first minibatch.  Inputs, fakes, the input
-gradient and the final result block live in anonymous ``MAP_SHARED``
-``mmap`` views made before the fork (no ``/dev/shm`` names, no resource
-tracker); hand-offs are fork-context semaphores, polled for a few
-milliseconds and then awaited with a timeout that checks the peer is
-alive, so a dead or failing lane raises :class:`TrainingLaneError` instead
-of hanging.  At the end the lane writes G's state (parameters, gradients,
-Adam moments and step, both BNs' running statistics) into the result
-block and the parent copies it in.  OpenBLAS is pinned to one thread for
-the life of the lane and restored after: a second BLAS thread per process
-spin-waits on the CPU the other half needs.  A lane fit is therefore the
-serial update at one BLAS thread; some float64 products (``gh1 @ W1.T`` at
-D input widths 100-127) differ in the last bits between one and two BLAS
-threads, so such a fit depended on the thread count before the lane too.
+The lane is forked before the first minibatch, and is told the row count
+of every update (the last minibatch of an epoch may be short), so that it
+can shape masks before the parent reaches that update.  Inputs, fakes, the
+dropout masks, the input gradient and the final result block live in
+anonymous ``MAP_SHARED`` ``mmap`` views made before the fork (no
+``/dev/shm`` names, no resource tracker); hand-offs are fork-context
+semaphores, polled for a few milliseconds and then awaited with a timeout
+that checks the peer is alive, so a dead or failing lane raises
+:class:`TrainingLaneError` instead of hanging.  At the end the lane writes
+G's state (parameters, gradients, Adam moments and step, both BNs' running
+statistics) and the states of both dropout bit generators into the result
+block and the parent copies them in, so the parent's dropout RNGs end
+where an inline fit leaves them.
+
+OpenBLAS is pinned to one thread for the whole fit, on both paths, and
+restored after: with the lane, a second BLAS thread per process spin-waits
+on the CPU the other half needs; inline, some float64 products
+(``gh1 @ W1.T`` at D input widths 100-127) differ in the last bits between
+one and two BLAS threads, and the pin makes a fit independent of the
+thread count.  The thread count is a process-wide setting, so it is left
+alone while another Python thread is alive: inline training inside the
+serve daemon runs at the daemon's thread count.
 
 Training runs inline (:func:`_lane_allowed`) on a single usable CPU, while
 another Python thread is alive (forking a threaded process is unsafe: the
@@ -110,7 +123,9 @@ import ctypes
 import mmap
 import multiprocessing
 import os
+import pickle
 import signal
+import sys
 import threading
 from contextlib import contextmanager
 
@@ -247,8 +262,9 @@ _POLL_S = 0.05
 _JOIN_S = 10.0
 _MSG_BYTES = 1024
 
-# control words of the shared block, and the parent's commands
-_CMD, _ROWS, _STEPS, _PARITY, _WANT, _ERR, _MSGLEN, _ADAM_T = range(8)
+# control words of the shared block (_RNG_LEN and the word after it hold
+# the pickled size of each dropout RNG state), and the parent's commands
+_CMD, _WANT, _ERR, _MSGLEN, _ADAM_T, _RNG_LEN = range(6)
 _RUN, _STOP, _ABORT = 1, 2, 3
 
 
@@ -258,7 +274,8 @@ def _lane_allowed(work: int, updates: int) -> bool:
     Not when the fit is too small, on one usable CPU, while another Python
     thread is alive (forking a threaded process is unsafe), inside a
     ``multiprocessing`` child, or without the ``fork`` start method.  The
-    OpenBLAS thread control is looked up separately, only when this holds.
+    OpenBLAS thread control is looked up separately
+    (:func:`_pinnable_blas_controls`).
     """
     if work < LANE_MIN_UPDATE_WORK or work * updates < LANE_MIN_FIT_WORK:
         return False
@@ -308,6 +325,27 @@ def blas_thread_controls() -> list:
     return controls
 
 
+_blas_cache: tuple[int, list] = (-1, [])
+
+
+def _pinnable_blas_controls() -> list:
+    """:func:`blas_thread_controls`, for a fit that may pin BLAS threads.
+
+    Empty while another Python thread is alive: the thread count is a
+    process-wide setting, and that thread may be running BLAS at its own.
+    The scan is cached and redone only after a module import, since a
+    further OpenBLAS is mapped by importing the extension that links it.
+    """
+    global _blas_cache
+    if threading.active_count() != 1:
+        return []
+    modules, controls = _blas_cache
+    if modules != len(sys.modules):
+        controls = blas_thread_controls()
+        _blas_cache = (len(sys.modules), controls)
+    return controls
+
+
 def _spin(sem) -> bool:
     acquire = sem.acquire
     for _ in range(_SPINS):
@@ -338,26 +376,44 @@ class _SharedBlock:
 
 
 class _InlineLane:
-    """The generator half called in place: the serial form of the schedule."""
+    """The generator half called in place: the serial form of the schedule.
+
+    Each D forward's dropout masks are drawn when it asks for them.
+    """
 
     def __init__(self, trainer) -> None:
         self._trainer = trainer
         self._slots: dict[tuple, tuple] = {}
-        self._cur = None
+        self._drop: dict[int, tuple] = {}
+        self._cur = self._cur_drop = None
         self._want = False
         self._norm = 0.0
 
     def inputs(self, m, d_steps):
+        t = self._trainer
         slots = self._slots.get((m, d_steps))
         if slots is None:
-            t = self._trainer
             slots = self._slots[m, d_steps] = (
                 np.empty((d_steps + 1, m, t.n_invariant + t.noise_dim),
                          t.dtype),
                 np.empty((d_steps + 1, m, t.n_variant), t.dtype),
             )
-        self._cur = slots
+        drop = self._drop.get(m)
+        if drop is None:
+            # the uniform draws, their keep mask, and the two scaled masks
+            drop = self._drop[m] = (
+                np.empty((m, t.hidden), np.float64),
+                np.empty((m, t.hidden), bool),
+                np.empty((m, t.hidden), t.dtype),
+                np.empty((m, t.hidden), t.dtype),
+            )
+        self._cur, self._cur_drop = slots, drop
         return slots
+
+    def masks(self, forward: int) -> tuple:
+        u, kmask, mask1, mask2 = self._cur_drop
+        self._trainer._draw_masks(u, kmask, mask1, mask2)
+        return mask1, mask2
 
     def publish_inputs(self, m, d_steps, want_norm) -> None:
         self._want = want_norm
@@ -378,36 +434,49 @@ class _InlineLane:
 class _ForkedLane:
     """The generator half in a forked process (see the module docstring).
 
-    Inputs are double-buffered by minibatch parity: the parent writes the
-    next minibatch's noise blocks while the lane's G backward still reads
-    the last block of the previous one.  Fakes and the input gradient need
-    one slot each, because every write of one follows a hand-off that
-    proves its previous reader is done.
+    The lane also draws the D forwards' dropout masks, one update ahead:
+    those of update ``k + 1`` after it publishes update ``k``'s last fake,
+    those of the first update as it starts.  Update ``k`` is fully
+    described by ``sizes[k]`` (its row count) and its parity ``k & 1``.
+
+    Inputs and masks are double-buffered by update parity: the parent
+    writes the next update's noise blocks while the lane's G backward still
+    reads the last block of the previous one, and the lane writes the next
+    update's masks while the parent still reads the current ones.  Fakes
+    and the input gradient need one slot each, because every write of one
+    follows a hand-off that proves its previous reader is done.
     """
 
-    def __init__(self, trainer, rows: int, d_steps: int) -> None:
+    def __init__(self, trainer, sizes, d_steps: int) -> None:
         t = trainer
+        self._sizes = sizes
         self._steps = d_steps + 1
-        self._rows = rows
+        self._rows = rows = max(sizes)
+        self._forwards = 2 * d_steps + 1
+        states = [pickle.dumps(r.bit_generator.state)
+                  for r in t._drop_rngs()]
         self.shm = _SharedBlock([
-            ("ctrl", (8,), np.int64),
+            ("ctrl", (_RNG_LEN + 2,), np.int64),
             ("norm", (1,), np.float64),
             ("msg", (_MSG_BYTES,), np.uint8),
             ("g_in", (2, self._steps, rows, t.n_invariant + t.noise_dim),
              t.dtype),
             ("fake", (self._steps, rows, t.n_variant), t.dtype),
+            # both dropout layers' scaled masks for each D forward
+            ("drop", (2, self._forwards, 2, rows, t.hidden), t.dtype),
             ("gx", (rows, t.n_variant), t.dtype),
             # G parameters, gradients, Adam m and v; running mean and
-            # variance of both batch norms
+            # variance of both batch norms; both dropout RNG states
             ("state", (4, t.g_opt.p.size), t.dtype),
             ("stats", (4, t.hidden), t.dtype),
+            ("rng", (2, max(map(len, states)) + 256), np.uint8),
         ])
         ctx = multiprocessing.get_context("fork")
-        self._sem_in, self._sem_gx, self._sem_fake, self._sem_done = (
-            ctx.Semaphore(0) for _ in range(4)
-        )
-        self._parity = 0
-        self._cur = None
+        (self._sem_in, self._sem_gx, self._sem_fake, self._sem_mask,
+         self._sem_done) = (ctx.Semaphore(0) for _ in range(5))
+        self._update = 0
+        self._cur = self._cur_masks = None
+        self._mask_views: dict[tuple, list] = {}
         self._stopped = False
         self._proc = ctx.Process(target=self._main, args=(t, os.getpid()),
                                  name="cgan-generator-lane", daemon=True)
@@ -417,25 +486,37 @@ class _ForkedLane:
         self._proc.start()
 
     def inputs(self, m, d_steps):
-        if m > self._rows or d_steps + 1 > self._steps:
+        k = self._update
+        if (k >= len(self._sizes) or m != self._sizes[k]
+                or d_steps + 1 != self._steps):
+            expected = self._sizes[k] if k < len(self._sizes) else None
             raise ValidationError(
-                f"generator lane holds {self._rows} rows and "
-                f"{self._steps - 1} D steps, got {m} and {d_steps}"
+                f"generator lane expects update {k} with {expected} rows "
+                f"and {self._steps - 1} D steps, got {m} and {d_steps}"
             )
-        shm = self.shm
-        self._cur = (shm.g_in[self._parity, :d_steps + 1, :m],
-                     shm.fake[:d_steps + 1, :m])
+        shm, parity = self.shm, k & 1
+        views = self._mask_views.get((parity, m))
+        if views is None:
+            slot = shm.drop[parity]
+            views = self._mask_views[parity, m] = [
+                (slot[j, 0, :m], slot[j, 1, :m])
+                for j in range(self._forwards)
+            ]
+        self._cur_masks = views
+        self._cur = (shm.g_in[parity, :, :m], shm.fake[:, :m])
         return self._cur
 
     def publish_inputs(self, m, d_steps, want_norm) -> None:
         ctrl = self.shm.ctrl
-        ctrl[_ROWS] = m
-        ctrl[_STEPS] = d_steps
-        ctrl[_PARITY] = self._parity
         ctrl[_WANT] = want_norm
         ctrl[_CMD] = _RUN
-        self._parity ^= 1
+        self._update += 1
         self._sem_in.release()
+
+    def masks(self, forward: int) -> tuple:
+        if forward == 0:
+            self._wait(self._sem_mask)
+        return self._cur_masks[forward]
 
     def wait_fake(self) -> None:
         self._wait(self._sem_fake)
@@ -449,18 +530,27 @@ class _ForkedLane:
         return float(self.shm.norm[0])
 
     def finish(self, t) -> None:
-        """Stop the lane after its last update and copy G's state back."""
+        """Stop the lane after its last update; copy G's and the RNG state."""
+        if self._update != len(self._sizes):
+            raise ValidationError(
+                f"generator lane was told of {len(self._sizes)} updates, "
+                f"ran {self._update}"
+            )
         shm = self.shm
-        shm.ctrl[_CMD] = _STOP
+        ctrl = shm.ctrl
+        ctrl[_CMD] = _STOP
         self._sem_in.release()
         self._wait(self._sem_done)
         self._stopped = True
         opt = t.g_opt
         for dst, src in zip((opt.p, t._g_grads, opt._m, opt._v), shm.state):
             dst[...] = src
-        opt._t = int(shm.ctrl[_ADAM_T])
+        opt._t = int(ctrl[_ADAM_T])
         for dst, src in zip(t._bn_running(), shm.stats):
             dst[...] = src
+        for i, rng in enumerate(t._drop_rngs()):
+            blob = bytes(shm.rng[i, :ctrl[_RNG_LEN + i]])
+            rng.bit_generator.state = pickle.loads(blob)
 
     def close(self) -> None:
         """Join the lane (told to abort unless it stopped); kill a stuck one."""
@@ -509,6 +599,7 @@ class _ForkedLane:
             # wake the parent wherever it waits
             for _ in range(self._steps):
                 self._sem_fake.release()
+            self._sem_mask.release()
             self._sem_done.release()
             raise
 
@@ -522,15 +613,28 @@ class _ForkedLane:
                     if os.getppid() != parent_pid:
                         os._exit(1)
 
-        while True:
+        sizes = self._sizes
+        u = np.empty((self._rows, t.hidden), np.float64)
+        kmask = np.empty((self._rows, t.hidden), bool)
+
+        def draw_masks(k) -> None:
+            m, slot = sizes[k], shm.drop[k & 1]
+            for j in range(self._forwards):
+                t._draw_masks(u[:m], kmask[:m], slot[j, 0, :m],
+                              slot[j, 1, :m])
+            self._sem_mask.release()
+
+        draw_masks(0)
+        for k in range(len(sizes)):
             wait(self._sem_in)
             if ctrl[_CMD] != _RUN:
-                break
-            m, steps = int(ctrl[_ROWS]), int(ctrl[_STEPS]) + 1
-            parity, want = int(ctrl[_PARITY]), bool(ctrl[_WANT])
-            g_ins = shm.g_in[parity, :steps, :m]
-            fakes = shm.fake[:steps, :m]
+                return
+            m, want = sizes[k], bool(ctrl[_WANT])
+            g_ins = shm.g_in[k & 1, :, :m]
+            fakes = shm.fake[:, :m]
             t._g_forwards(g_ins, fakes, self._sem_fake.release)
+            if k + 1 < len(sizes):
+                draw_masks(k + 1)
             wait(self._sem_gx)
             if ctrl[_CMD] == _ABORT:
                 return
@@ -538,6 +642,7 @@ class _ForkedLane:
             if want:
                 shm.norm[0] = norm
                 self._sem_done.release()
+        wait(self._sem_in)
         if ctrl[_CMD] == _STOP:
             opt = t.g_opt
             for dst, src in zip(shm.state, (opt.p, t._g_grads, opt._m,
@@ -546,6 +651,10 @@ class _ForkedLane:
             ctrl[_ADAM_T] = opt._t
             for dst, src in zip(shm.stats, t._bn_running()):
                 dst[...] = src
+            for i, rng in enumerate(t._drop_rngs()):
+                blob = pickle.dumps(rng.bit_generator.state)
+                shm.rng[i, :len(blob)] = np.frombuffer(blob, np.uint8)
+                ctrl[_RNG_LEN + i] = len(blob)
             self._sem_done.release()
 
 
@@ -605,8 +714,10 @@ class FusedCGANTrainer:
         # mask constants in the compute dtype: bool -> {0, 1} then one
         # same-dtype multiply equals the mixed bool-by-float ufunc bitwise
         self._sm_scale_dt = dt.type(self._sm_scale)
-        self._drop_scale1 = dt.type(1.0 / (1.0 - self.ddr1.rate))
-        self._drop_scale2 = dt.type(1.0 / (1.0 - self.ddr2.rate))
+        self._keep1 = 1.0 - self.ddr1.rate
+        self._keep2 = 1.0 - self.ddr2.rate
+        self._drop_scale1 = dt.type(1.0 / self._keep1)
+        self._drop_scale2 = dt.type(1.0 / self._keep2)
 
         g_params, g_grads, g_segs = consolidate(
             [self.gd1, self.gbn1, self.gd2, self.gbn2, self.gd3]
@@ -642,35 +753,38 @@ class FusedCGANTrainer:
 
     # -- the generator lane -------------------------------------------------
     @contextmanager
-    def lane(self, *, rows: int, updates: int, d_steps: int):
-        """Run the generator half of every update in a forked process.
+    def lane(self, *, sizes, d_steps: int):
+        """Train the block's updates at one BLAS thread, forked if allowed.
 
-        ``rows`` is the largest minibatch and ``updates`` the number of
-        :meth:`minibatch` calls the block will make.  Yields whether the
-        lane was forked; when it was not (:func:`_lane_allowed`, or no
-        OpenBLAS thread control), the block trains inline.  On a normal
-        exit the lane's G state is copied back; on every exit the lane is
-        joined and the OpenBLAS thread counts are restored.
+        ``sizes`` holds the row count of each :meth:`minibatch` call the
+        block will make, in order.  Yields whether the generator half runs
+        in a forked lane; when it does not (:func:`_lane_allowed`, or no
+        OpenBLAS thread control), the block trains inline.  OpenBLAS is
+        pinned to one thread on both paths, unless another Python thread is
+        alive: then an inline fit keeps the process's thread count (the
+        serve daemon's training does).  On a normal exit the lane's G and
+        dropout RNG state is copied back; on every exit the lane is joined
+        and the OpenBLAS thread counts are restored.
         """
-        work = rows * (self.g_opt.p.size + self.d_opt.p.size)
-        controls = (blas_thread_controls() if _lane_allowed(work, updates)
-                    else [])
-        if not controls:
-            yield False
-            return
-        lane = _ForkedLane(self, rows, d_steps)
-        saved = [(set_, get()) for get, set_ in controls]
+        work = max(sizes) * (self.g_opt.p.size + self.d_opt.p.size)
+        saved = [(set_, get()) for get, set_ in _pinnable_blas_controls()]
+        lane = (_ForkedLane(self, sizes, d_steps)
+                if saved and _lane_allowed(work, len(sizes)) else None)
         try:
             for set_, _ in saved:
                 set_(1)
-            lane.start()
-            self._lane = lane
-            yield True
-            lane.finish(self)
+            if lane is None:
+                yield False
+            else:
+                lane.start()
+                self._lane = lane
+                yield True
+                lane.finish(self)
         finally:
             self._lane = self._inline
             try:
-                lane.close()
+                if lane is not None:
+                    lane.close()
             finally:
                 for set_, threads in saved:
                     set_(threads)
@@ -678,6 +792,26 @@ class FusedCGANTrainer:
     def _bn_running(self) -> tuple:
         return (self.gbn1.running_mean, self.gbn1.running_var,
                 self.gbn2.running_mean, self.gbn2.running_var)
+
+    def _drop_rngs(self) -> tuple:
+        return self.ddr1._rng, self.ddr2._rng
+
+    def _draw_masks(self, u, kmask, mask1, mask2) -> None:
+        """Both dropout layers' scaled masks for one D forward.
+
+        Drawn at float64 whatever the compute dtype (RNG stream parity with
+        the layer engine), then ``(u < keep)`` is copied into the compute
+        dtype and multiplied by ``1 / keep`` (exact, see the module
+        docstring).
+        """
+        for rng, keep, scale, mask in (
+            (self.ddr1._rng, self._keep1, self._drop_scale1, mask1),
+            (self.ddr2._rng, self._keep2, self._drop_scale2, mask2),
+        ):
+            rng.random(out=u)
+            np.less(u, keep, out=kmask)
+            np.copyto(mask, kmask)
+            mask *= scale
 
     # -- buffers ------------------------------------------------------------
     def _buffers(self, m: int) -> dict:
@@ -701,13 +835,9 @@ class FusedCGANTrainer:
                 "t1": np.empty((m, h), dt),
                 "t2": np.empty((m, h), dt),
                 "t3": np.empty((m, 1), dt), "p": np.empty((m, 1), dt),
-                "u": np.empty((m, h), np.float64),
-                "kmask": np.empty((m, h), bool),
                 "dmask": np.empty((m, h), bool),
                 "sm1": np.empty((m, h), dt),
                 "sm2": np.empty((m, h), dt),
-                "dropm1": np.empty((m, h), dt),
-                "dropm2": np.empty((m, h), dt),
                 "gp": np.empty((m, 1), dt), "ptmp": np.empty((m, 1), dt),
                 "gh2": np.empty((m, h), dt), "gh1": np.empty((m, h), dt),
                 "gx": np.empty((m, self.d_in), dt),
@@ -840,22 +970,22 @@ class FusedCGANTrainer:
         np.divide(out, v["std"], out=out)
         return out
 
-    def _d_forward(self, B, x) -> np.ndarray:
+    def _d_forward(self, B, x, masks) -> np.ndarray:
         """Discriminator forward on ``x`` (training mode), into B.
 
-        LeakyReLU runs as a single multiply by the scale mask
-        ``sm = mask * (1 - slope) + slope`` (exact, see the module docstring)
-        and ``t1``/``t2`` are updated in place through activation and
-        dropout, so the layer-1/2 blocks touch two float buffers each.
+        ``masks`` are the two dropout layers' scaled masks of this forward
+        (from the lane).  LeakyReLU runs as a single multiply by the scale
+        mask ``sm = mask * (1 - slope) + slope`` (exact, see the module
+        docstring) and ``t1``/``t2`` are updated in place through
+        activation and dropout, so the layer-1/2 blocks touch two float
+        buffers each.
         """
         slope = self.dl1.negative_slope
         scale = self._sm_scale_dt
-        keep1 = 1.0 - self.ddr1.rate
-        keep2 = 1.0 - self.ddr2.rate
         t1, t2 = B["t1"], B["t2"]
         sm1, sm2 = B["sm1"], B["sm2"]
-        dropm1, dropm2 = B["dropm1"], B["dropm2"]
-        u, kmask, dmask = B["u"], B["kmask"], B["dmask"]
+        dropm1, dropm2 = masks
+        dmask = B["dmask"]
 
         np.matmul(x, self.dd1.params["W"], out=t1)
         t1 += self.dd1.params["b"]
@@ -864,11 +994,6 @@ class FusedCGANTrainer:
         sm1 *= scale
         sm1 += slope
         t1 *= sm1  # == where(t1 > 0, t1, slope * t1) bitwise
-        # dropout masks are drawn at float64 (RNG stream parity; layer rngs)
-        self.ddr1._rng.random(out=u)
-        np.less(u, keep1, out=kmask)
-        np.copyto(dropm1, kmask)
-        dropm1 *= self._drop_scale1
         t1 *= dropm1  # t1 is now the dropout output
 
         np.matmul(t1, self.dd2.params["W"], out=t2)
@@ -878,10 +1003,6 @@ class FusedCGANTrainer:
         sm2 *= scale
         sm2 += slope
         t2 *= sm2
-        self.ddr2._rng.random(out=u)
-        np.less(u, keep2, out=kmask)
-        np.copyto(dropm2, kmask)
-        dropm2 *= self._drop_scale2
         t2 *= dropm2
 
         t3 = B["t3"]
@@ -895,8 +1016,10 @@ class FusedCGANTrainer:
         np.divide(1.0, p, out=p)
         return p
 
-    def _d_backward(self, B, x, grad, *, param_grads, input_grad):
+    def _d_backward(self, B, x, grad, masks, *, param_grads, input_grad):
         """Discriminator backward from loss grad ``grad`` (shape (m, 1)).
+
+        ``masks`` are the dropout masks the forward on ``x`` used.
 
         ``param_grads=False`` skips all weight/bias gradients (generator
         step: they would be zeroed unread); ``input_grad=False`` skips the
@@ -908,6 +1031,7 @@ class FusedCGANTrainer:
         """
         gp, ptmp, p = B["gp"], B["ptmp"], B["p"]
         gh2, gh1 = B["gh2"], B["gh1"]
+        dropm1, dropm2 = masks
 
         np.multiply(grad, p, out=gp)
         np.subtract(1.0, p, out=ptmp)
@@ -916,13 +1040,13 @@ class FusedCGANTrainer:
             np.matmul(B["t2"].T, gp, out=self.dd3.grads["W"])
             np.add.reduce(gp, axis=0, out=self.dd3.grads["b"])
         np.matmul(gp, self.dd3.params["W"].T, out=gh2)
-        gh2 *= B["dropm2"]
+        gh2 *= dropm2
         gh2 *= B["sm2"]
         if param_grads:
             np.matmul(B["t1"].T, gh2, out=self.dd2.grads["W"])
             np.add.reduce(gh2, axis=0, out=self.dd2.grads["b"])
         np.matmul(gh2, self.dd2.params["W"].T, out=gh1)
-        gh1 *= B["dropm1"]
+        gh1 *= dropm1
         gh1 *= B["sm1"]
         if param_grads:
             np.matmul(x.T, gh1, out=self.dd1.grads["W"])
@@ -975,8 +1099,9 @@ class FusedCGANTrainer:
         Returns ``(d_losses, g_loss, d_grad_norm, g_grad_norm)`` where
         ``d_losses`` has one entry per discriminator step (the reference
         loop's ``0.5 * (loss_real + loss_fake)``).  The generator half runs
-        on the current lane (:meth:`lane`); with ``want_grad_norms`` the
-        update waits for it to finish, to read G's gradient norm.
+        on the current lane (:meth:`lane`), which also gives each D forward
+        its dropout masks; with ``want_grad_norms`` the update waits for it
+        to finish, to read G's gradient norm.
         """
         m = idx.shape[0]
         B = self._buffers(m)
@@ -1009,18 +1134,20 @@ class FusedCGANTrainer:
         d_grad_norm = g_grad_norm = 0.0
         for step in range(d_steps):
             # --- discriminator step (Eq. 8)
-            p = self._d_forward(B, real_in)
+            masks = lane.masks(2 * step)
+            p = self._d_forward(B, real_in, masks)
             loss_real = bce.forward(p, B["ones"])
-            self._d_backward(B, real_in, bce.backward(),
+            self._d_backward(B, real_in, bce.backward(), masks,
                              param_grads=True, input_grad=False)
             if want_grad_norms:
                 d_grad_norm = self.grad_norm("d")
             self.d_opt.step()
             lane.wait_fake()
             fake_in[:, n_inv:n_inv + nv] = fakes[step]
-            p = self._d_forward(B, fake_in)
+            masks = lane.masks(2 * step + 1)
+            p = self._d_forward(B, fake_in, masks)
             loss_fake = bce.forward(p, B["zeros"])
-            self._d_backward(B, fake_in, bce.backward(),
+            self._d_backward(B, fake_in, bce.backward(), masks,
                              param_grads=True, input_grad=False)
             self.d_opt.step()
             d_losses.append(0.5 * (loss_real + loss_fake))
@@ -1028,9 +1155,10 @@ class FusedCGANTrainer:
         # --- generator step (Eq. 9, non-saturating)
         lane.wait_fake()
         fake_in[:, n_inv:n_inv + nv] = fakes[d_steps]
-        p = self._d_forward(B, fake_in)
+        masks = lane.masks(2 * d_steps)
+        p = self._d_forward(B, fake_in, masks)
         g_loss = bce.forward(p, B["ones"])
-        gx = self._d_backward(B, fake_in, bce.backward(),
+        gx = self._d_backward(B, fake_in, bce.backward(), masks,
                               param_grads=False, input_grad=True)
         lane.publish_gx(gx[:, n_inv:n_inv + nv])
         if want_grad_norms:

@@ -7,11 +7,14 @@ forked lane process when the host and the fit size allow (see
 - a lane fit equals an inline fit bit for bit (parameters, batch-norm
   running statistics, ``history_``, ``generate()`` and grad-norm hook
   logs), at float32 and float64, conditional and NoCond, one and two D
-  steps, with a remainder batch;
+  steps, with a remainder batch, and leaves both dropout RNGs in the
+  inline fit's state (the lane draws the dropout masks);
 - a failing or dying lane raises :class:`TrainingLaneError` in the parent
   within a bounded time, and no fit leaves a child process or a changed
   OpenBLAS thread count behind;
-- a fit started while another thread is alive trains inline.
+- a fit started while another thread is alive trains inline, at the
+  process's BLAS thread count; any other fit trains at one BLAS thread,
+  so a float64 inline fit does not depend on ``OPENBLAS_NUM_THREADS``.
 
 Each side runs in a fresh interpreter, so that no thread left alive by
 another test can change the path taken.  The inline side is pinned to one
@@ -53,6 +56,12 @@ def data(n, n_inv, nv, nc, seed=0):
     rng = np.random.default_rng(seed)
     return (rng.normal(size=(n, n_inv)), np.tanh(rng.normal(size=(n, nv))),
             np.eye(nc)[rng.integers(0, nc, n)])
+
+
+def dropout_states(gan):
+    return [layer._rng.bit_generator.state
+            for layer in gan.discriminator_.layers
+            if type(layer).__name__ == "Dropout"]
 
 
 def digest(gan, hook):
@@ -100,7 +109,8 @@ for name, (shape, kw, with_hook) in CONFIGS.items():
     hook = HistoryHook(grad_norms=True) if with_hook else None
     gan = ConditionalGAN(random_state=11, **kw).fit(
         X_inv, X_var, y if kw.get("conditional", True) else None, hooks=hook)
-    out[name] = {"lane": gan.train_lane_, "digest": digest(gan, hook)}
+    out[name] = {"lane": gan.train_lane_, "digest": digest(gan, hook),
+                 "dropout_rng": dropout_states(gan)}
 print(json.dumps(out))
 """
 
@@ -136,6 +146,20 @@ for dtype in ("float32", "float64"):
 print(json.dumps(out))
 """
 
+_THREADS_SCRIPT = _COMMON + r"""
+# the fit-5gc shape without the condition: D input 92 + 19 = 111 wide, where
+# gh1 @ W1.T at float64 differs in the last bits between 1 and 2 BLAS
+# threads; 21 updates stay under the shipped size rule, so the fit is inline
+X_inv, X_var, _ = data(n=400, n_inv=92, nv=19, nc=16)
+threads = [get() for get, _ in fused.blas_thread_controls()]
+gan = ConditionalGAN(noise_dim=8, hidden_size=128, epochs=3, batch_size=64,
+                     dtype="float64", conditional=False,
+                     random_state=11).fit(X_inv, X_var)
+print(json.dumps({"lane": gan.train_lane_, "threads": threads,
+                  "after": [get() for get, _ in fused.blas_thread_controls()],
+                  "digest": digest(gan, None)}))
+"""
+
 _HYGIENE_SCRIPT = _COMMON + r"""
 import glob
 import multiprocessing
@@ -144,7 +168,9 @@ import threading
 import time
 
 from repro.nn.fused import FusedCGANTrainer, TrainingLaneError
+from repro.obs.hooks import TrainingHook
 
+shipped = (fused.LANE_MIN_UPDATE_WORK, fused.LANE_MIN_FIT_WORK)
 fused.LANE_MIN_UPDATE_WORK = fused.LANE_MIN_FIT_WORK = 0
 X_inv, X_var, y = data(n=96, n_inv=12, nv=5, nc=4)
 KW = dict(noise_dim=3, hidden_size=16, epochs=50, batch_size=32,
@@ -162,8 +188,17 @@ def children():
     return sorted(set(kids))
 
 
-def fit(**extra):
-    return ConditionalGAN(**{**KW, **extra}).fit(X_inv, X_var, y)
+class ThreadsSeen(TrainingHook):
+    def __init__(self):
+        self.seen = set()
+
+    def on_epoch_end(self, epoch, logs):
+        self.seen.update(blas_threads())
+
+
+def fit(hooks=None, **extra):
+    return ConditionalGAN(**{**KW, **extra}).fit(X_inv, X_var, y,
+                                                 hooks=hooks)
 
 
 before = blas_threads()
@@ -171,13 +206,20 @@ out = {"blas_before": before}
 out["lane_taken"] = fit().train_lane_
 out["after_fit"] = {"children": children(), "blas": blas_threads()}
 
-original = FusedCGANTrainer._g_backward
-for name, fault in (
-    ("raises", lambda self, *a: (_ for _ in ()).throw(
+def kill(self, *a):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# the lane draws the first update's dropout masks as it starts, so a lane
+# killed in its first mask draw dies while the parent waits for masks
+for name, method, fault in (
+    ("raises", "_g_backward", lambda self, *a: (_ for _ in ()).throw(
         RuntimeError("injected G backward fault"))),
-    ("dies", lambda self, *a: os.kill(os.getpid(), signal.SIGKILL)),
+    ("dies", "_g_backward", kill),
+    ("dies_drawing_masks", "_draw_masks", kill),
 ):
-    FusedCGANTrainer._g_backward = fault
+    original = getattr(FusedCGANTrainer, method)
+    setattr(FusedCGANTrainer, method, fault)
     t0 = time.perf_counter()
     try:
         fit()
@@ -186,20 +228,29 @@ for name, fault in (
         error = str(exc)
     except Exception as exc:
         error = f"untyped {type(exc).__name__}: {exc}"
+    finally:
+        setattr(FusedCGANTrainer, method, original)
     out[name] = {"error": error, "seconds": time.perf_counter() - t0,
                  "children": children(), "blas": blas_threads()}
-FusedCGANTrainer._g_backward = original
 
 release = threading.Event()
 worker = threading.Thread(target=release.wait)
 worker.start()
 try:
-    out["with_thread_lane"] = fit(epochs=2).train_lane_
+    hook = ThreadsSeen()
+    out["with_thread_lane"] = fit(hook, epochs=2).train_lane_
+    out["with_thread_blas"] = sorted(hook.seen)
 finally:
     release.set()
     worker.join(10.0)
 assert not worker.is_alive()
 out["after_thread_lane"] = fit(epochs=2).train_lane_
+
+# too small for the shipped size rule: an inline fit, pinned and restored
+fused.LANE_MIN_UPDATE_WORK, fused.LANE_MIN_FIT_WORK = shipped
+hook = ThreadsSeen()
+out["inline_lane"] = fit(hook, epochs=2).train_lane_
+out["inline"] = {"during": sorted(hook.seen), "blas": blas_threads()}
 print(json.dumps(out))
 """
 
@@ -233,15 +284,30 @@ def inline_digests():
     return _run(_EQUIVALENCE_SCRIPT, "inline")
 
 
+@pytest.fixture(scope="module")
+def lane_digests():
+    return _run(_EQUIVALENCE_SCRIPT, "lane")
+
+
 @needs_two_cpus
 class TestLaneEqualsInline:
-    def test_every_config_is_bit_identical(self, inline_digests):
-        lane = _run(_EQUIVALENCE_SCRIPT, "lane")
+    def test_every_config_is_bit_identical(self, inline_digests,
+                                           lane_digests):
+        lane = lane_digests
         assert set(lane) == set(inline_digests)
         assert not any(r["lane"] for r in inline_digests.values())
         assert all(r["lane"] for r in lane.values()), lane
         diverged = [name for name in lane
                     if lane[name]["digest"] != inline_digests[name]["digest"]]
+        assert diverged == []
+
+    def test_dropout_rngs_end_where_inline_leaves_them(self, inline_digests,
+                                                       lane_digests):
+        lane = lane_digests
+        assert all(r["lane"] for r in lane.values()), lane
+        diverged = [name for name in lane
+                    if lane[name]["dropout_rng"]
+                    != inline_digests[name]["dropout_rng"]]
         assert diverged == []
 
 
@@ -275,6 +341,18 @@ class TestGoldenParameters:
 
 
 @needs_two_cpus
+class TestFloat64ThreadIndependence:
+    def test_inline_float64_fit_is_equal_at_one_and_two_blas_threads(self):
+        one = _run(_THREADS_SCRIPT, "threads", blas_env="1")
+        two = _run(_THREADS_SCRIPT, "threads", blas_env="2")
+        assert not one["lane"] and not two["lane"]
+        assert set(one["threads"]) == {1} and set(two["threads"]) == {2}
+        assert one["after"] == one["threads"]
+        assert two["after"] == two["threads"]
+        assert one["digest"] == two["digest"]
+
+
+@needs_two_cpus
 class TestLaneHygiene:
     @pytest.fixture(scope="class")
     def report(self):
@@ -287,7 +365,8 @@ class TestLaneHygiene:
         assert report["after_fit"] == {"children": [],
                                        "blas": report["blas_before"]}
 
-    @pytest.mark.parametrize("fault", ["raises", "dies"])
+    @pytest.mark.parametrize("fault", ["raises", "dies",
+                                       "dies_drawing_masks"])
     def test_lane_fault_raises_a_typed_error_in_bounded_time(self, report,
                                                               fault):
         result = report[fault]
@@ -302,3 +381,12 @@ class TestLaneHygiene:
     def test_fit_with_another_thread_alive_runs_inline(self, report):
         assert report["with_thread_lane"] is False
         assert report["after_thread_lane"] is True
+
+    def test_fit_with_another_thread_alive_keeps_the_blas_threads(self,
+                                                                  report):
+        assert report["with_thread_blas"] == sorted(set(report["blas_before"]))
+
+    def test_inline_fit_pins_one_blas_thread_and_restores(self, report):
+        assert report["inline_lane"] is False
+        assert report["inline"] == {"during": [1],
+                                    "blas": report["blas_before"]}
