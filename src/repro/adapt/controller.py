@@ -277,8 +277,8 @@ class AdaptationController:
     def _adapt(self) -> None:
         pipeline = self.pipeline
         shots = self.shots.matrix()
-        # snapshot for post-hoc analysis (the bench's cold-rediscovery
-        # comparison re-runs discovery on exactly these rows)
+        # snapshot for post-hoc analysis (the scenario driver's cold
+        # re-discovery comparison re-runs discovery on exactly these rows)
         self.last_shots_ = shots
         self._set_state("REDISCOVERING", shots=int(shots.shape[0]))
         if self.daemon is None:

@@ -7,16 +7,11 @@ Usage::
     python -m repro multitarget
     python -m repro counts --dataset 5gc
     python -m repro runtime --dataset 5gipc --preset fast --trace -v
-    python -m repro bench --dataset 5gc --preset smoke --n-jobs -1
-    python -m repro bench --suite nn --dataset 5gc --preset smoke
-    python -m repro bench --suite serve --dataset 5gc --preset smoke
-    python -m repro bench --suite serve --sustained --tenants 3 --rate 300
-    python -m repro bench --suite fs --warm --widths 442 --n-jobs -1
     python -m repro rediscover --artifact pipe.npz --source src.npy \\
         --target pooled_target.npy --out pipe_updated.npz
     python -m repro rediscover --artifact pipe.npz --source src.npy \\
         --target pooled_target.npy --json   # exit 3 = variant set changed
-    python -m repro adapt run --width 442 --schedule abrupt --out BENCH_adapt.json
+    python -m repro adapt run --width 442 --schedule abrupt
     python -m repro adapt status --root artifacts
     python -m repro adapt promote --root artifacts --tenant nf-east
     python -m repro adapt rollback --root artifacts --tenant nf-east
@@ -65,14 +60,12 @@ import os
 import sys
 
 from repro.experiments import (
-    SUITES,
     format_ablation,
     format_multitarget,
     format_runtime,
     format_table1,
     format_variant_counts,
     get_preset,
-    get_suite,
     measure_runtime,
     run_ablation,
     run_multitarget,
@@ -152,56 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser(
-        "bench",
-        help="perf benchmark: FS CI engine or the fused NN training engine",
-    )
-    add_common(p)
-    p.add_argument("--suite", choices=tuple(sorted(SUITES)), default="fs",
-                   help="; ".join(
-                       f"{name} = {suite.description}"
-                       for name, suite in sorted(SUITES.items())
-                   ))
-    p.add_argument("--shots", type=int, default=10,
-                   help="few-shot target budget for FS discovery "
-                   "(fs/serve suites)")
-    p.add_argument("--out", metavar="PATH", default=None,
-                   help="benchmark record file (merged, seed-keyed; default "
-                   "BENCH_fs.json / BENCH_nn.json / BENCH_serve.json by suite)")
-    p.add_argument("--skip-gan", action="store_true",
-                   help="fs suite: benchmark FS discovery only "
-                   "(skip GAN + inference)")
-    p.add_argument("--epochs", type=int, default=None,
-                   help="nn suite: override the preset's GAN epoch budget")
-    p.add_argument("--draws", type=int, default=1,
-                   help="serve suite: Monte-Carlo draws per sample")
-    p.add_argument("--wide", action="store_true",
-                   help="fs suite: scaling curve on synthetic wide matrices "
-                   "(default engine vs pruned/float32 path) "
-                   "instead of the preset dataset benchmark")
-    p.add_argument("--warm", action="store_true",
-                   help="fs suite: warm-start re-discovery benchmark (cold "
-                   "discover vs rediscover from the previous run's WarmState "
-                   "after new few-shot rows) on synthetic wide matrices")
-    p.add_argument("--widths", default="442,1024", metavar="W1,W2,...",
-                   help="fs --wide/--warm: comma-separated feature widths "
-                   "(default 442,1024)")
-    p.add_argument("--rounds", type=int, default=2,
-                   help="fs --wide/--warm: timing rounds per side (min is "
-                   "kept)")
-    p.add_argument("--sustained", action="store_true",
-                   help="serve suite: benchmark the multi-tenant daemon "
-                   "under sustained load (closed-loop throughput + "
-                   "open-loop latency) instead of the one-shot plan")
-    p.add_argument("--tenants", type=int, default=3,
-                   help="serve --sustained: tenant artifacts to fit and serve")
-    p.add_argument("--duration", type=float, default=2.0,
-                   help="serve --sustained: seconds per measured pass")
-    p.add_argument("--rate", type=float, default=300.0,
-                   help="serve --sustained: open-loop offered rate (req/s)")
-    p.add_argument("--clients", type=int, default=8,
-                   help="serve --sustained: concurrent client threads")
-
-    p = sub.add_parser(
         "rediscover",
         help="warm-start FS re-discovery from a saved artifact's warm state",
     )
@@ -232,12 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr = adapt_sub.add_parser(
         "run",
         help="drive a known-onset drift schedule through the live "
-        "adaptation loop and report/record its figures of merit",
+        "adaptation loop and report its figures of merit",
     )
     add_common(pr, dataset=False)
     pr.add_argument("--width", type=int, default=442,
-                    help="synthetic feature width (default: the 442-feature "
-                    "warm-bench preset)")
+                    help="synthetic feature width (default 442, the "
+                    "paper's 5GC width)")
     pr.add_argument("--schedule", choices=("abrupt", "gradual"),
                     default="abrupt", help="drift onset shape")
     pr.add_argument("--onset-batch", type=int, default=10,
@@ -253,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--root", metavar="DIR", default=None,
                     help="artifact-lineage root to keep (default: a "
                     "temporary directory discarded after the run)")
-    pr.add_argument("--out", metavar="PATH", default=None,
-                    help="merge a bench record into this file "
-                    "(BENCH_adapt.json layout)")
     for name, help_text in (
         ("status", "print a tenant's lineage: generations, states, pointer"),
         ("promote", "activate the latest candidate/shadow version "
@@ -304,9 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "in rows (default 256)")
     daemon.add_argument("--cache-size", type=int, default=8, metavar="N",
                         help="tenants kept hot in the LRU plan cache")
-    daemon.add_argument("--no-coalesce", action="store_true",
-                        help="score every request in its own padded "
-                        "execution (baseline mode)")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="write proba + labels to .npz or .json")
     p.add_argument("--n-draws", type=int, default=1,
@@ -449,13 +386,6 @@ def _dispatch(args, preset) -> int:
             args.dataset, preset=preset, random_state=args.seed,
             n_jobs=args.n_jobs,
         )))
-    elif args.command == "bench":
-        # one registry drives every suite: the suite's CLI adapter hook
-        # runs the benchmark and returns the report (ROADMAP item 5)
-        suite = get_suite(args.suite)
-        out = args.out or suite.default_out
-        print(suite.run_cli(args, preset, out))
-        print(f"\nrecord merged into {out}")
     elif args.command == "rediscover":
         import json
         from dataclasses import replace
@@ -547,7 +477,6 @@ def _dispatch(args, preset) -> int:
             n_draws=args.n_draws,
             micro_batch_rows=args.max_batch_rows,
             cache_size=args.cache_size,
-            coalesce=not args.no_coalesce,
             prom_port=args.prom_port,
         ))
     elif args.command == "serve":
@@ -649,25 +578,8 @@ def _dispatch_adapt(args, preset) -> int:
     from repro.utils.errors import ReproError
 
     if args.adapt_command == "run":
-        from repro.experiments.drift_schedule import (
-            format_bench_adapt,
-            run_bench_adapt,
-            run_adapt_scenario,
-        )
+        from repro.experiments.drift_schedule import run_adapt_scenario
 
-        if args.out:
-            records = run_bench_adapt(
-                (args.width,),
-                schedule=args.schedule,
-                cold_rounds=max(1, args.rounds),
-                min_shots=args.min_shots,
-                n_jobs=args.n_jobs,
-                random_state=args.seed,
-                out=args.out,
-            )
-            print(format_bench_adapt(records))
-            print(f"\nrecord merged into {args.out}")
-            return 0
         result = run_adapt_scenario(
             args.width,
             schedule=args.schedule,

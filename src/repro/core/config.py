@@ -116,9 +116,9 @@ class ReconstructionConfig:
     ``dtype`` selects the compute dtype the reconstruction network trains
     and serves in: ``"float32"`` (default; the paper's PyTorch cGAN computed
     in float32) or ``"float64"`` (the exact reference path; float64 cGAN
-    training is bit-identical to ``repro.nn.reference``).  Noise and dropout
-    draws come from the float64 RNG stream at either dtype, and a compiled
-    plan is bit-identical to the pipeline at both.
+    training is bit-identical to ``tests/oracles/nn_reference.py``).  Noise
+    and dropout draws come from the float64 RNG stream at either dtype, and
+    a compiled plan is bit-identical to the pipeline at both.
     """
 
     strategy: str = "gan"

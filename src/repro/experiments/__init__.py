@@ -1,31 +1,9 @@
 """Experiment harness: presets, runner and formatters regenerating every
 table and figure of the paper's evaluation section (see DESIGN.md §4)."""
 
-from repro.experiments.bench import (
-    make_wide_pair,
-    reference_discover,
-    run_bench,
-    run_bench_warm,
-    run_bench_wide,
-    write_bench_record,
-)
-from repro.experiments.bench_nn import run_bench_nn
-from repro.experiments.bench_registry import (
-    SUITES,
-    BenchRecord,
-    BenchSuite,
-    bench_key,
-    get_suite,
-)
-from repro.experiments.bench_serve import (
-    bench_serve_record,
-    run_bench_serve,
-    run_bench_serve_sustained,
-)
 from repro.experiments.drift_schedule import (
     make_drift_schedule,
     run_adapt_scenario,
-    run_bench_adapt,
 )
 from repro.experiments.loadgen import build_requests, replay_capture, run_loadgen
 from repro.experiments.models import MODEL_NAMES, model_factories
@@ -33,12 +11,6 @@ from repro.experiments.multitarget import run_multitarget
 from repro.experiments.presets import PRESETS, ExperimentPreset, get_preset
 from repro.experiments.reporting import (
     format_ablation,
-    format_bench,
-    format_bench_nn,
-    format_bench_serve,
-    format_bench_serve_sustained,
-    format_bench_warm,
-    format_bench_wide,
     format_loadgen,
     format_multitarget,
     format_runtime,
@@ -57,52 +29,30 @@ from repro.experiments.runtime import measure_runtime
 from repro.experiments.sensitivity import selection_variance, variant_counts
 
 __all__ = [
-    "BenchRecord",
-    "BenchSuite",
     "CellResult",
     "ExperimentPreset",
     "MODEL_NAMES",
     "PRESETS",
-    "SUITES",
     "SharedArtifacts",
-    "bench_key",
     "build_requests",
     "format_ablation",
-    "format_bench",
-    "format_bench_nn",
-    "format_bench_serve",
-    "format_bench_serve_sustained",
-    "format_bench_warm",
-    "format_bench_wide",
     "format_loadgen",
     "format_multitarget",
     "format_runtime",
     "format_table1",
     "format_variant_counts",
     "get_preset",
-    "get_suite",
     "make_benchmark",
     "make_drift_schedule",
-    "make_wide_pair",
     "measure_runtime",
     "model_factories",
-    "reference_discover",
     "replay_capture",
     "run_ablation",
     "run_adapt_scenario",
-    "run_bench",
-    "run_bench_adapt",
-    "run_bench_warm",
-    "bench_serve_record",
-    "run_bench_nn",
-    "run_bench_serve",
-    "run_bench_serve_sustained",
-    "run_bench_wide",
     "run_loadgen",
     "run_multitarget",
     "run_table1",
     "selection_variance",
-    "write_bench_record",
     "summarize_improvement",
     "variant_counts",
 ]

@@ -1,4 +1,4 @@
-"""Closed-loop adaptation scenario driver and the ``adapt`` bench suite.
+"""Closed-loop adaptation scenario driver behind ``repro adapt run``.
 
 :func:`run_adapt_scenario` replays a synthetic traffic stream with a *known*
 drift onset through a live :class:`~repro.adapt.controller.AdaptationController`
@@ -15,10 +15,9 @@ and measures the loop's end-to-end figures of merit:
 - **alarm-to-promotion wall time** — alarm batch to the lineage pointer
   flip, covering re-discovery, cGAN refit and the shadow agreement window.
 
-The traffic generator reuses :func:`~repro.experiments.bench.make_wide_pair`
-(the wide-scale FS benchmark's synthetic family), so the 442-feature preset
-of ``repro bench --suite fs --warm`` is reachable *inside the loop* and the
-warm-vs-cold ratio is directly comparable to the standalone warm benchmark.
+The traffic generator reuses :func:`~repro.datasets.wide.make_wide_pair`,
+so any width, including the paper's 442 features, is reachable inside the
+loop.
 
 Drift-tracker calibration: ``psi_max`` is a max-statistic over all
 features, so it inflates with both small windows (a 32-row window shows
@@ -29,10 +28,6 @@ up to ~2.7 on same-distribution traffic) and width (442 features reach
 every tested width while the injected mean shift climbs past 1.8 within
 a few window fills, so the threshold has margin on both sides and the
 measured detection latency is the tracker's genuine window-filling lag.
-
-``repro bench --suite adapt`` (and ``repro adapt run``) emit one
-seed-keyed record per width into ``BENCH_adapt.json`` via the shared
-:mod:`~repro.experiments.bench_registry` machinery.
 """
 
 from __future__ import annotations
@@ -42,25 +37,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.experiments.bench import make_wide_pair
-from repro.experiments.bench_registry import (
-    BenchRecord,
-    get_suite,
-    write_bench_record,
-)
+from repro.datasets.wide import make_wide_pair
 from repro.obs.logging import get_logger
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
 
-__all__ = [
-    "SCHEDULES",
-    "check_adapt_record",
-    "cli_bench_adapt",
-    "format_bench_adapt",
-    "make_drift_schedule",
-    "run_adapt_scenario",
-    "run_bench_adapt",
-]
+__all__ = ["SCHEDULES", "make_drift_schedule", "run_adapt_scenario"]
 
 SCHEDULES = ("abrupt", "gradual")
 
@@ -142,7 +124,7 @@ def make_drift_schedule(
 
 
 def _scenario_pipeline(n_jobs: int, epochs: int, random_state: int):
-    """An FSGANPipeline in the warm-bench 442-preset engine configuration."""
+    """An FSGANPipeline in the wide-scale FS engine configuration."""
     from repro.core import FSGANPipeline, ReconstructionConfig
     from repro.core.config import FSConfig
     from repro.ml import MLPClassifier
@@ -335,165 +317,3 @@ def run_adapt_scenario(
             result["warm_speedup"],
         )
     return result
-
-
-# ---------------------------------------------------------------------------
-# the "adapt" bench suite
-
-
-def run_bench_adapt(
-    widths: tuple[int, ...] = (442,),
-    *,
-    schedule: str = "abrupt",
-    cold_rounds: int = 2,
-    min_shots: int = 64,
-    epochs: int = 2,
-    n_jobs: int = 1,
-    random_state: int = 0,
-    out: str | None = None,
-) -> list[dict]:
-    """One adaptation-lifecycle benchmark record per width.
-
-    ``before`` is the cold re-discovery cost on the loop's shot matrix,
-    ``after`` the in-loop warm re-discovery; ``speedup`` is their ratio
-    and ``equivalent`` asserts the warm variant set matched cold **and**
-    the lifecycle actually completed (alarm → promotion).  Records merge
-    under ``wide/<width>/seed<seed>`` in ``BENCH_adapt.json``.
-    """
-    suite = get_suite("adapt")
-    records = []
-    for width in widths:
-        scenario = run_adapt_scenario(
-            int(width),
-            schedule=schedule,
-            min_shots=min_shots,
-            cold_rounds=cold_rounds,
-            epochs=epochs,
-            n_jobs=n_jobs,
-            random_state=random_state,
-        )
-        if not scenario["promoted"]:
-            raise ValidationError(
-                f"adapt bench at width {width}: lifecycle did not reach "
-                f"promotion (final state {scenario['final_state']!r})"
-            )
-        record = BenchRecord(
-            suite="adapt",
-            dataset="wide",
-            preset=str(int(width)),
-            seed=random_state,
-            before={
-                "rediscover_seconds": scenario["rediscover_cold_seconds"],
-                "mode": "cold",
-            },
-            after={
-                "rediscover_seconds": scenario["rediscover_warm_seconds"],
-                "mode": scenario["warm_cache_stats"]["mode"],
-            },
-            speedup=scenario["warm_speedup"],
-            equivalent=bool(
-                scenario["variant_equivalent"] and scenario["promoted"]
-            ),
-            extras={
-                "n_features": int(width),
-                "schedule": scenario["schedule"],
-                "onset_batch": scenario["onset_batch"],
-                "alarm_batch": scenario["alarm_batch"],
-                "detection_latency_batches": (
-                    scenario["detection_latency_batches"]
-                ),
-                "shots_to_refit": scenario["shots_to_refit"],
-                "batch_rows": scenario["batch_rows"],
-                "alarm_to_promotion_seconds": (
-                    scenario["alarm_to_promotion_seconds"]
-                ),
-                "refit_seconds": scenario["refit_seconds"],
-                "promoted_generation": scenario["generation"],
-                "variant_added": len(scenario["variant_diff"]["added"]),
-                "variant_removed": len(scenario["variant_diff"]["removed"]),
-                "cold_rounds": int(max(1, cold_rounds)),
-                "n_jobs": n_jobs,
-            },
-        ).to_dict()
-        records.append(record)
-        if out:
-            write_bench_record(record, out, schema=suite.schema)
-    return records
-
-
-def format_bench_adapt(records: list[dict]) -> str:
-    """Human-readable report of :func:`run_bench_adapt` records."""
-    lines = [
-        "Closed-loop adaptation benchmark (alarm -> rediscover -> refit "
-        "-> shadow -> promote)",
-        "",
-        f"{'width':>6}  {'detect(b)':>9}  {'shots':>5}  {'cold(s)':>8}  "
-        f"{'warm(s)':>8}  {'speedup':>7}  {'alarm->promo(s)':>15}  equal",
-    ]
-    for r in records:
-        lines.append(
-            f"{r['n_features']:>6}  {r['detection_latency_batches']:>9}  "
-            f"{r['shots_to_refit']:>5}  "
-            f"{r['before']['rediscover_seconds']:>8.3f}  "
-            f"{r['after']['rediscover_seconds']:>8.3f}  "
-            f"{r['speedup']:>6.2f}x  "
-            f"{r['alarm_to_promotion_seconds']:>15.3f}  "
-            f"{'yes' if r['equivalent'] else 'NO'}"
-        )
-    return "\n".join(lines)
-
-
-def cli_bench_adapt(args, preset, out: str) -> str:
-    """CLI adapter hook: ``repro bench --suite adapt``."""
-    widths = tuple(int(w) for w in str(args.widths).split(",") if w)
-    records = run_bench_adapt(
-        widths,
-        cold_rounds=max(1, args.rounds),
-        n_jobs=args.n_jobs,
-        random_state=args.seed,
-        out=out,
-    )
-    return format_bench_adapt(records)
-
-
-def check_adapt_record(record: dict) -> list[str]:
-    """Suite oracle: internal-consistency problems of one adapt record."""
-    problems = []
-    for side, label in ((record.get("before", {}), "before"),
-                        (record.get("after", {}), "after")):
-        seconds = side.get("rediscover_seconds")
-        if not isinstance(seconds, (int, float)) or not seconds > 0:
-            problems.append(
-                f"{label}.rediscover_seconds must be positive, got {seconds!r}"
-            )
-    if record.get("before", {}).get("mode") != "cold":
-        problems.append("before.mode must be 'cold'")
-    if record.get("after", {}).get("mode") != "exact":
-        problems.append("after.mode must be 'exact' (a warm re-discovery ran)")
-    latency = record.get("detection_latency_batches")
-    if not isinstance(latency, int) or latency < 0:
-        problems.append(
-            f"detection_latency_batches must be a non-negative int, "
-            f"got {latency!r}"
-        )
-    onset, alarm = record.get("onset_batch"), record.get("alarm_batch")
-    if (isinstance(onset, int) and isinstance(alarm, int)
-            and alarm < onset):
-        problems.append(
-            f"alarm_batch {alarm} precedes onset_batch {onset} "
-            f"(false-positive detection)"
-        )
-    wall = record.get("alarm_to_promotion_seconds")
-    if not isinstance(wall, (int, float)) or not wall > 0:
-        problems.append(
-            f"alarm_to_promotion_seconds must be positive, got {wall!r}"
-        )
-    shots = record.get("shots_to_refit")
-    if not isinstance(shots, int) or shots < 1:
-        problems.append(f"shots_to_refit must be a positive int, got {shots!r}")
-    generation = record.get("promoted_generation")
-    if not isinstance(generation, int) or generation < 1:
-        problems.append(
-            f"promoted_generation must be >= 1, got {generation!r}"
-        )
-    return problems

@@ -138,97 +138,6 @@ def format_runtime(result: dict) -> str:
     )
 
 
-def format_bench(record: dict) -> str:
-    """Render the ``repro bench`` before/after summary."""
-    before, after = record["before"], record["after"]
-    lines = [
-        f"FS CI-engine benchmark ({record['dataset']}, "
-        f"preset={record['preset']}, seed={record['seed']}, "
-        f"{record['n_features']} features, n_jobs={record['n_jobs']})",
-        f"  reference loop: {before['fs_seconds']:8.2f} s "
-        f"({before['n_ci_tests']} CI tests, {before['n_variant']} variant)",
-        f"  batched engine: {after['fs_seconds']:8.2f} s "
-        f"({after['n_ci_tests']} CI tests, {after['n_variant']} variant)",
-        f"  speedup:        {record['speedup']:8.2f}x "
-        + ("(results identical)" if record["equivalent"] else "(RESULTS DIFFER)"),
-    ]
-    if record.get("gan_train_seconds") is not None:
-        lines.append(f"  GAN training:   {record['gan_train_seconds']:8.2f} s")
-    if record.get("inference_seconds_per_sample") is not None:
-        lines.append(
-            f"  inference:      "
-            f"{1000 * record['inference_seconds_per_sample']:8.2f} ms/sample"
-        )
-    return "\n".join(lines)
-
-
-def format_bench_wide(records: list[dict]) -> str:
-    """Render the ``repro bench --suite fs --wide`` scaling curve."""
-    lines = [
-        "Wide-scale FS scaling (default engine vs wide path, "
-        "min-of-rounds wall clock)",
-        "  width | before (s) | after (s) | speedup | tests before/after | "
-        "equivalent",
-    ]
-    for record in records:
-        before, after = record["before"], record["after"]
-        lines.append(
-            f"  {record['n_features']:5d} | {before['fs_seconds']:10.2f} | "
-            f"{after['fs_seconds']:9.2f} | {record['speedup']:6.2f}x | "
-            f"{before['n_ci_tests']:6d} / {after['n_ci_tests']:6d}     | "
-            + ("yes" if record["equivalent"] else "NO — RESULTS DIFFER")
-        )
-    return "\n".join(lines)
-
-
-def format_bench_warm(records: list[dict]) -> str:
-    """Render the ``repro bench --suite fs --warm`` re-discovery summary."""
-    lines = [
-        "Warm-start FS re-discovery (cold discover vs rediscover from the "
-        "prior run's WarmState, min-of-rounds wall clock)",
-        "  width | cold (s) | warm (s) | speedup | tests cold/warm | "
-        "new rows | equivalent",
-    ]
-    for record in records:
-        before, after = record["before"], record["after"]
-        lines.append(
-            f"  {record['n_features']:5d} | {before['fs_seconds']:8.2f} | "
-            f"{after['fs_seconds']:8.2f} | {record['speedup']:6.2f}x | "
-            f"{before['n_ci_tests']:6d} / {after['n_ci_tests']:6d}  | "
-            f"{record['n_new_rows']:8d} | "
-            + ("yes" if record["equivalent"] else "NO — RESULTS DIFFER")
-        )
-    return "\n".join(lines)
-
-
-def format_bench_nn(record: dict) -> str:
-    """Render the ``repro bench --suite nn`` fused-engine summary."""
-    before, after = record["before"], record["after"]
-    serve, f32 = record["serve"], record["float32"]
-    lines = [
-        f"NN fused-engine benchmark ({record['dataset']}, "
-        f"preset={record['preset']}, seed={record['seed']}, "
-        f"{record['n_invariant']}+{record['n_variant']} features, "
-        f"hidden={record['hidden_size']}, {record['epochs']} epochs)",
-        f"  reference train: {before['train_seconds']:8.2f} s "
-        f"({before['epochs_per_sec']:.1f} epochs/s)",
-        f"  fused train:     {after['train_seconds']:8.2f} s "
-        f"({after['epochs_per_sec']:.1f} epochs/s)",
-        f"  train speedup:   {record['speedup']:8.2f}x "
-        + ("(float64 bit-identical)" if record["equivalent"] else "(RESULTS DIFFER)"),
-        f"  serve (n_draws={serve['n_draws']}): "
-        f"{before['serve_seconds'] * 1000:7.2f} ms -> "
-        f"{after['serve_seconds'] * 1000:7.2f} ms "
-        f"({serve['speedup']:.2f}x, max|diff| {serve['max_abs_diff']:.1e}"
-        + (")" if serve["equivalent"] else ", OUT OF TOLERANCE)"),
-        f"  float32 train:   {f32['train_seconds']:8.2f} s "
-        f"({f32['speedup_vs_float64']:.2f}x vs float64 fused)",
-        f"  float32 serving: max|diff| {f32['serve_max_abs_diff']:.2e} "
-        + ("(within tolerance)" if f32["within_tolerance"] else "(OUT OF TOLERANCE)"),
-    ]
-    return "\n".join(lines)
-
-
 def summarize_improvement(results: list[CellResult]) -> dict:
     """The paper's headline metric: drift-mitigation improvement over SrcOnly.
 
@@ -260,68 +169,6 @@ def summarize_improvement(results: list[CellResult]) -> dict:
             (gain_ours - gain_other) / gain_other if gain_other > 0 else float("nan")
         ),
     }
-
-
-def format_bench_serve(record: dict) -> str:
-    """Render the ``repro bench --suite serve`` compiled-plan summary."""
-    before, after = record["before"], record["after"]
-    lines = [
-        f"Serve benchmark ({record['dataset']}, preset={record['preset']}, "
-        f"seed={record['seed']}, model={record['model']}, "
-        f"{record['n_samples']}x{record['n_features']} batch, "
-        f"n_draws={record['n_draws']})",
-        f"  naive pipeline:  {before['serve_seconds'] * 1000:8.2f} ms "
-        f"({before['rows_per_sec']:.0f} rows/s)",
-        f"  compiled plan:   {after['serve_seconds'] * 1000:8.2f} ms "
-        f"({after['rows_per_sec']:.0f} rows/s)",
-        f"  speedup:         {record['speedup']:8.2f}x "
-        + (
-            "(float64 bit-identical)"
-            if record["equivalent"]
-            else f"(max|diff| {record['max_abs_diff']:.2e} — RESULTS DIFFER)"
-        ),
-    ]
-    telemetry = record.get("telemetry")
-    if telemetry:
-        lines.append(
-            f"  telemetry:       metrics on {100 * telemetry['metrics_overhead']:+.1f}%, "
-            f"scraped @1Hz {100 * telemetry['scraped_overhead']:+.1f}% "
-            f"vs disabled"
-        )
-    return "\n".join(lines)
-
-
-def format_bench_serve_sustained(record: dict) -> str:
-    """Render the ``repro bench --suite serve --sustained`` daemon summary."""
-    before, after = record["before"], record["after"]
-    open_loop = record["open_loop"]
-    latency = open_loop["latency"]
-    lines = [
-        f"Sustained serve benchmark ({record['dataset']}, "
-        f"base preset={record['base_preset']}, seed={record['seed']}, "
-        f"{record['tenants']} tenants, {record['clients']} clients, "
-        f"{record['duration']:.1f}s per pass, "
-        f"capacity={record['micro_batch_rows']} rows)",
-        f"  per-request daemon: {before['rows_per_sec']:10.0f} rows/s "
-        f"({before['requests_per_sec']:.0f} req/s, closed loop)",
-        f"  micro-batched:      {after['rows_per_sec']:10.0f} rows/s "
-        f"({after['requests_per_sec']:.0f} req/s, "
-        f"mean fill {after['mean_batch_requests']:.1f} req/batch)",
-        f"  speedup:            {record['speedup']:10.2f}x "
-        + (
-            "(replay bit-identical)"
-            if record["equivalent"]
-            else f"(max|diff| {record['max_abs_diff']:.2e} — RESULTS DIFFER)"
-        ),
-        f"  open loop @ {open_loop['offered_rate']:.0f} req/s: achieved "
-        f"{open_loop['achieved_rps']:.0f} req/s "
-        f"({open_loop['rows_per_sec']:.0f} rows/s, "
-        f"{open_loop['requests']} requests, {open_loop['errors']} errors)",
-        f"  latency:            p50={1e3 * latency['p50']:7.2f} ms  "
-        f"p90={1e3 * latency['p90']:7.2f} ms  "
-        f"p99={1e3 * latency['p99']:7.2f} ms",
-    ]
-    return "\n".join(lines)
 
 
 def format_loadgen(result: dict) -> str:

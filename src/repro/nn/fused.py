@@ -53,7 +53,7 @@ approximate:
 
 Every remaining ufunc sequence mirrors :mod:`repro.nn.layers` /
 :mod:`repro.nn.optimizers` operation for operation, which in turn mirror
-the frozen baselines in :mod:`repro.nn.reference`; the regression tests
+the frozen baselines in ``tests/oracles/nn_reference.py``; the regression tests
 assert the kernel reproduces the reference training trajectory bit for bit.
 
 Two processes

@@ -25,10 +25,11 @@ contract this buys:
 - the ``grads`` arrays are stable objects for the whole life of the layer —
   optimizers may alias them.
 
-All float64 computations are bit-identical to the pre-fusion implementations
-frozen in :mod:`repro.nn.reference` (same ufuncs, same operation order);
-random draws are always taken at float64 so the float32 fast path (see
-:meth:`Layer.to`) consumes the RNG stream identically.
+All float64 computations are bit-identical to the pre-fusion
+implementations frozen in ``tests/oracles/nn_reference.py`` (same ufuncs,
+same operation order); random draws are always taken at float64 so the
+float32 fast path (see :meth:`Layer.to`) consumes the RNG stream
+identically.
 
 **Bound inference.**  :meth:`Layer.bind` turns a layer's inference forward
 of one input buffer into a list of zero-argument ops over fixed buffers, for

@@ -3,7 +3,7 @@
 Both optimizers update parameters strictly in place with preallocated
 scratch buffers (``out=`` ufunc forms), so a step allocates nothing after
 the first call — and the float64 parameter trajectories are bit-identical
-to the pre-fusion implementations frozen in :mod:`repro.nn.reference`
+to the pre-fusion implementations frozen in ``tests/oracles/nn_reference.py``
 (same ufuncs, same operation order).
 
 State (Adam moments and step count, SGD velocities) round-trips through

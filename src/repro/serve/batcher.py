@@ -111,15 +111,10 @@ class MicroBatcher:
         compiled plans through it (LRU + hot reload); its
         ``micro_batch_rows`` bounds the rows of every request and
         micro-batch.
-    coalesce:
-        False scores every request in its own (still padded) execution —
-        the daemon's per-request baseline mode, used by the sustained
-        benchmark as the "before" side.
     """
 
-    def __init__(self, cache, *, coalesce: bool = True) -> None:
+    def __init__(self, cache) -> None:
         self.cache = cache
-        self.coalesce = bool(coalesce)
         self._lock = threading.Lock()
         self._queues: dict[str, deque[PendingRequest]] = {}
         self._order: deque[str] = deque()
@@ -229,11 +224,10 @@ class MicroBatcher:
             capacity = self.cache.micro_batch_rows
             batch = [queue.popleft()]
             rows = batch[0].X.shape[0]
-            if self.coalesce:
-                while queue and rows + queue[0].X.shape[0] <= capacity:
-                    pending = queue.popleft()
-                    rows += pending.X.shape[0]
-                    batch.append(pending)
+            while queue and rows + queue[0].X.shape[0] <= capacity:
+                pending = queue.popleft()
+                rows += pending.X.shape[0]
+                batch.append(pending)
             if queue:
                 self._order.append(tenant)
             self._depth -= len(batch)
@@ -346,5 +340,4 @@ class MicroBatcher:
             "mean_batch_requests": (
                 self.requests / self.batches if self.batches else 0.0
             ),
-            "coalesce": self.coalesce,
         }

@@ -59,8 +59,6 @@ class DaemonConfig:
     micro_batch_rows: int = DEFAULT_CAPACITY
     #: LRU capacity of the compiled-plan cache (tenants kept hot)
     cache_size: int = 8
-    #: False = per-request scoring (the sustained benchmark's baseline)
-    coalesce: bool = True
     #: result wait budget of :meth:`ServeDaemon.score` (seconds)
     request_timeout: float = 30.0
     #: optional Prometheus exposition port (None = off)
@@ -135,7 +133,7 @@ class ServeDaemon:
             n_draws=cfg.n_draws,
             micro_batch_rows=cfg.micro_batch_rows,
         )
-        self.batcher = MicroBatcher(self.cache, coalesce=cfg.coalesce)
+        self.batcher = MicroBatcher(self.cache)
         if cfg.manage_lineage:
             from repro.adapt.lineage import ArtifactLineage
 

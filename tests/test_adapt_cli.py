@@ -10,7 +10,7 @@ from repro.cli import main
 from repro.core.artifacts import save_artifact
 from repro.core.config import FSConfig
 from repro.core.feature_separation import FeatureSeparator
-from repro.experiments.bench import make_wide_pair
+from repro.datasets.wide import make_wide_pair
 from repro.ml import MLPClassifier
 
 

@@ -13,7 +13,7 @@ from repro.adapt import (
     ShotBuffer,
 )
 from repro.adapt.lineage import ArtifactLineage
-from repro.experiments.bench import make_wide_pair
+from repro.datasets.wide import make_wide_pair
 from repro.experiments.drift_schedule import (
     _scenario_pipeline,
     run_adapt_scenario,
@@ -417,8 +417,13 @@ class TestScenarioDriver:
         assert result["detection_latency_batches"] >= 0
         assert result["shots_to_refit"] >= 64
         assert result["rediscover_warm"] is True
+        assert result["warm_cache_stats"]["mode"] == "exact"
+        assert result["rediscover_warm_seconds"] > 0
+        assert result["rediscover_cold_seconds"] > 0
         assert result["warm_speedup"] > 0
         assert result["variant_equivalent"] is True
+        assert result["alarm_to_promotion_seconds"] > 0
+        assert result["generation"] >= 1
         assert result["lineage_history"] == [(0, "retired"), (1, "active")]
 
     def test_warm_variant_set_equals_cold_at_width_111_seed_7(self):

@@ -178,7 +178,7 @@ class TestControllerDrivesDaemon:
     def test_full_loop_through_daemon_without_restart(self, tmp_path):
         """Drift -> detect -> warm rediscover -> refit -> daemon shadow ->
         promote, with the daemon serving (and shadow-scoring) the traffic."""
-        from repro.experiments.bench import make_wide_pair
+        from repro.datasets.wide import make_wide_pair
         from repro.experiments.drift_schedule import _scenario_pipeline
 
         width, batch_rows = 24, 64

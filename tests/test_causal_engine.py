@@ -26,12 +26,12 @@ from repro.causal.engine import (
     combined_invariance_pvalues,
     resolve_n_jobs,
 )
-from repro.experiments.bench import reference_discover
 from repro.experiments.drift_schedule import make_drift_schedule
 from repro.ml import MinMaxScaler
 from repro.obs import RunRecorder
 from repro.obs.trace import Tracer, use_tracer
 from repro.utils.errors import ValidationError
+from tests.oracles.fs_reference import reference_discover
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,8 @@ packed serialized layout (bit-exact round trips, a member count that does
 not grow with the entries), the serialized :class:`WarmState`,
 :meth:`FNodeDiscovery.rediscover` against the cold baseline across every
 fan-out path, the guard-mismatch cold fallbacks, the ``fs.cache.*`` metric
-export, the intra-level wall-clock deadline fix, the deduplicated and
-memoized :func:`ks_pvalue` tails, and the ``--warm`` benchmark runner +
-oracle.
+export, the intra-level wall-clock deadline fix, and the deduplicated and
+memoized :func:`ks_pvalue` tails.
 """
 
 import io
@@ -31,7 +30,7 @@ from repro.causal.engine import DEADLINE_CHUNK, CIEngine
 from repro.causal.warm import state_version
 from repro.core.config import FSConfig
 from repro.core.feature_separation import FeatureSeparator
-from repro.experiments.bench import check_fs_record, make_wide_pair, run_bench_warm
+from repro.datasets.wide import make_wide_pair
 from repro.obs.metrics import MetricsRegistry, set_metrics
 from repro.utils.errors import ConfigurationError, ValidationError
 
@@ -516,37 +515,3 @@ class TestSeparatorWarmMode:
             sep.result_.variant_indices, cold.variant_indices)
         assert sep.cache_stats_["mode"] == "exact"
         assert sep.cache_stats_["warm_hits"] > 0
-
-
-class TestBenchWarm:
-    @pytest.fixture(scope="class")
-    def record(self):
-        records = run_bench_warm(
-            (24,), n_jobs=1, fs_rounds=1,
-            n_source=240, n_target=80, n_prior=56,
-        )
-        assert len(records) == 1
-        return records[0]
-
-    def test_record_is_equivalent_and_oracle_clean(self, record):
-        assert record["equivalent"] is True
-        assert record["dataset"] == "warm"
-        assert record["speedup"] > 0
-        assert record["after"]["n_ci_tests"] <= record["before"]["n_ci_tests"]
-        assert check_fs_record(record) == []
-
-    def test_oracle_flags_tampered_records(self, record):
-        for key in ("warm_equal", "serial_equal"):
-            bad = dict(record)
-            bad[key] = False
-            assert any(key in p for p in check_fs_record(bad))
-        bad = dict(record)
-        bad["after"] = dict(record["after"],
-                            n_ci_tests=record["before"]["n_ci_tests"] + 1)
-        assert any("more tests" in p for p in check_fs_record(bad))
-
-    def test_report_formats(self, record):
-        from repro.experiments.reporting import format_bench_warm
-
-        text = format_bench_warm([record])
-        assert "Warm-start" in text and "yes" in text

@@ -4,8 +4,7 @@ Covers the four tentpole optimisations — shared-memory fan-out (lifecycle
 tested here, bit-identity in ``test_causal_engine.py``), candidate-pool
 pruning with the exactness guarantee, budgeted/anytime search with
 coverage, and the float32 statistics path with float64 borderline
-verification — plus the synthetic wide generator and the ``--wide``
-benchmark runner built on them.
+verification — plus the synthetic wide generator they are measured on.
 """
 
 import numpy as np
@@ -20,7 +19,7 @@ from repro.causal.shm import (
 )
 from repro.core.config import FSConfig
 from repro.core.feature_separation import FeatureSeparator
-from repro.experiments.bench import make_wide_pair, run_bench_wide
+from repro.datasets.wide import make_wide_pair
 from repro.utils.errors import ConfigurationError, ValidationError
 
 
@@ -97,14 +96,20 @@ class TestPruning:
             )
 
     def test_exact_mode_on_wide_generator_across_seeds(self):
+        configs = (
+            FSConfig(prune_k=2, prune_exact=True),
+            # the wide-scale setting: exact pruning with float32 statistics
+            FSConfig(prune_k=3, stats_dtype="float32"),
+        )
         for seed in range(3):
             Xs, Xt = make_wide_pair(72, random_state=seed)
             full = FNodeDiscovery().discover(Xs, Xt)
-            config = FSConfig(prune_k=2, prune_exact=True)
-            pruned = FNodeDiscovery(config).discover(Xs, Xt)
-            np.testing.assert_array_equal(
-                full.variant_indices, pruned.variant_indices
-            )
+            for config in configs:
+                pruned = FNodeDiscovery(config).discover(Xs, Xt)
+                np.testing.assert_array_equal(
+                    full.variant_indices, pruned.variant_indices
+                )
+                assert pruned.coverage == 1.0
 
     def test_approximate_mode_over_reports_only(self, scaled_pair, baseline):
         # skipping the fallback phase can only miss clearing subsets, so the
@@ -205,27 +210,6 @@ class TestWideGenerator:
         assert parents <= variant
         children = set(range(48)) - parents - {c for c in range(48) if c % 8 >= 6}
         assert len(variant & children) < len(children) / 2
-
-
-class TestRunBenchWide:
-    def test_record_shape_and_equivalence(self, tmp_path):
-        out = tmp_path / "BENCH_fs.json"
-        records = run_bench_wide(
-            (24,), fs_rounds=1, n_jobs=1, out=str(out)
-        )
-        assert len(records) == 1
-        record = records[0]
-        assert record["dataset"] == "wide"
-        assert record["preset"] == "24"
-        assert record["equivalent"] is True
-        assert record["coverage"] == 1.0
-        assert record["before"]["fs_seconds"] > 0
-        assert record["after"]["fs_seconds"] > 0
-        import json
-
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.bench.fs/v1"
-        assert "wide/24/seed0" in doc["records"]
 
 
 class TestFSConfigWideFields:

@@ -319,7 +319,7 @@ class TestGoldenParameters:
 
     Recorded per OpenBLAS kernel, numpy SIMD level and numpy version (the
     bits of a product or a ``tanh`` depend on them); elsewhere the test
-    skips, and ``test_nn_engine``'s comparison with ``nn/reference.py``
+    skips, and ``test_nn_engine``'s comparison with ``oracles/nn_reference.py``
     still covers float64.
     """
 

@@ -145,7 +145,7 @@ class TestStateRoundTrips:
     def test_separator_warm_state_roundtrips(self, rng):
         from repro.core.config import FSConfig
         from repro.core.feature_separation import FeatureSeparator
-        from repro.experiments.bench import make_wide_pair
+        from repro.datasets.wide import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
         sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])
@@ -171,7 +171,7 @@ class TestStateRoundTrips:
         from repro.core.artifacts import load_artifact, save_artifact
         from repro.core.config import FSConfig
         from repro.core.feature_separation import FeatureSeparator
-        from repro.experiments.bench import make_wide_pair
+        from repro.datasets.wide import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
         sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])
@@ -196,7 +196,7 @@ class TestStateRoundTrips:
     def test_budgeted_coverage_survives_roundtrip(self, rng):
         from repro.core.config import FSConfig
         from repro.core.feature_separation import FeatureSeparator
-        from repro.experiments.bench import make_wide_pair
+        from repro.datasets.wide import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
         sep = FeatureSeparator(FSConfig(budget=2)).fit(Xs, Xt)
@@ -216,7 +216,7 @@ class TestStateRoundTrips:
         from repro.core.artifacts import save_artifact
         from repro.core.config import FSConfig
         from repro.core.feature_separation import FeatureSeparator
-        from repro.experiments.bench import make_wide_pair
+        from repro.datasets.wide import make_wide_pair
 
         Xs, Xt = make_wide_pair(23, n_source=200, n_target=80, random_state=7)
         sep = FeatureSeparator(FSConfig()).fit(Xs, Xt[:56])

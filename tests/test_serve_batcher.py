@@ -288,18 +288,6 @@ class TestMicroBatcher:
                 np.testing.assert_array_equal(
                     proba, plan.execute([X], capacity=CAP)[0])
 
-    def test_no_coalesce_mode_scores_singly(self, tenant_root):
-        root, names, X_test = tenant_root
-        cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
-        batcher = MicroBatcher(cache, coalesce=False)
-        pendings = [batcher.submit(names[0], X_test[i:i + 2])
-                    for i in range(0, 8, 2)]
-        batcher.start()
-        for p in pendings:
-            p.result(10.0)
-        batcher.stop()
-        assert batcher.batches == len(pendings)
-
     def test_submit_after_stop_raises(self, tenant_root):
         root, names, X_test = tenant_root
         cache = PlanCache(root, capacity=8, micro_batch_rows=CAP)
