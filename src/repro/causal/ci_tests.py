@@ -25,6 +25,7 @@ import numpy as np
 # scipy is imported inside each function that computes a statistic, never at
 # module level: serving restores FeatureSeparator (and with it this module)
 # from a bundle but never runs a test, so a daemon never loads scipy.
+# FS loads scipy.special + scipy.linalg only (kstwo.py ports the exact KS tail).
 from repro.obs.metrics import get_metrics
 from repro.utils.errors import ValidationError
 from repro.utils.validation import check_array
@@ -55,16 +56,16 @@ _KS_TAIL_LOCK = threading.Lock()
 
 
 def _kstwo_sf(stat, n: float):
-    """``clip(kstwo.sf(stat, n), 0, 1)``, evaluating each distinct D once.
+    """``kstwo.sf(stat, n)``, evaluating each distinct D once.
 
     A two-sample D is a multiple of ``1 / lcm(n1, n2)``, so one discovery
-    run sees few distinct values, and scipy's exact small-``n`` tail costs
+    run sees few distinct values, and the exact small-``n`` tail costs
     about a millisecond each.  Tails are memoized process-wide by
-    ``(n, D)``; a miss is evaluated by the same scipy call, so the result
-    is bitwise what the unmemoized call returns.  Non-finite D is never
-    stored.
+    ``(n, D)``; a miss is evaluated by :func:`repro.causal.kstwo.kstwo_sf`,
+    a port of scipy's ``kstwo.sf`` that returns its bits, so the result is
+    bitwise what the unmemoized call returns.  Non-finite D is never stored.
     """
-    from scipy import stats
+    from repro.causal.kstwo import kstwo_sf
 
     d = np.asarray(stat, dtype=np.float64)
     uniq, inverse = np.unique(d.reshape(-1), return_inverse=True)
@@ -73,7 +74,7 @@ def _kstwo_sf(stat, n: float):
         tails = [_KS_TAIL_MEMO.get(key) for key in keys]
     missing = [i for i, tail in enumerate(tails) if tail is None]
     if missing:
-        fresh = np.clip(stats.kstwo.sf(uniq[missing], n), 0.0, 1.0)
+        fresh = kstwo_sf(uniq[missing], n)
         with _KS_TAIL_LOCK:
             for i, tail in zip(missing, fresh.tolist()):
                 tails[i] = tail
@@ -95,10 +96,10 @@ def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
 
     - ``mode="exact"``: the Kolmogorov-Smirnov survival function at the
       scipy-rounded effective sample size — bit-identical to
-      ``scipy.stats.ks_2samp(method="asymp")``, routing into scipy's exact
-      small-``n`` evaluation at few-shot sample sizes.  Each distinct
-      ``(n, D)`` is evaluated once per process (bounded memo, see
-      :data:`KS_TAIL_MEMO_MAX`).
+      ``scipy.stats.ks_2samp(method="asymp")``, routing into the exact
+      small-``n`` evaluation (:mod:`repro.causal.kstwo`) at few-shot sample
+      sizes.  Each distinct ``(n, D)`` is evaluated once per process
+      (bounded memo, see :data:`KS_TAIL_MEMO_MAX`).
     - ``mode="stephens"``: the limiting Kolmogorov distribution at the
       Stephens-corrected argument — within ~1e-3 of the exact tail at these
       sample sizes and orders of magnitude cheaper; the float32 fast path
@@ -114,12 +115,12 @@ def ks_pvalue(stat, n: int, m: int, *, mode: str = "exact"):
     en = big * small / (big + small)
     if mode == "exact":
         return _kstwo_sf(stat, float(np.round(en)))
-    from scipy import stats
+    from scipy import special
 
+    # special.kolmogorov is scipy.stats.kstwobign.sf on a float64 argument
     root = np.sqrt(en)
-    return np.clip(
-        stats.kstwobign.sf((root + 0.12 + 0.11 / root) * np.asarray(stat)), 0.0, 1.0
-    )
+    arg = np.asarray((root + 0.12 + 0.11 / root) * np.asarray(stat), dtype=np.float64)
+    return np.clip(special.kolmogorov(arg), 0.0, 1.0)
 
 
 def _partial_correlation(data: np.ndarray, i: int, j: int, cond: tuple[int, ...]) -> float:

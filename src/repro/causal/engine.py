@@ -52,7 +52,7 @@ from itertools import combinations
 
 import numpy as np
 
-# scipy is imported where a statistic is computed (see repro.causal.ci_tests)
+# scipy.special/linalg are imported where a statistic is computed (ci_tests)
 from repro.causal.ci_tests import ks_pvalue
 from repro.obs.trace import get_tracer
 from repro.utils.errors import ValidationError
@@ -83,10 +83,17 @@ def _rows(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(X).T)
 
 
+def _two_sided_t_pvalue(t, df):
+    """``2 * scipy.stats.t.sf(|t|, df)``: upcast to float64 first, as ``t.sf``
+    does; ``stdtr`` gives 0 at ``|t| = inf``, NaN at NaN and ``df <= 0``."""
+    from scipy import special
+
+    x = np.asarray(np.abs(t), dtype=np.float64)
+    return 2.0 * special.stdtr(np.asarray(df, dtype=np.float64), -x)
+
+
 def _welch_t_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Welch t p-value per row of ``A`` (m, n1) vs ``B`` (m, n2)."""
-    from scipy import stats
-
     n1, n2 = A.shape[1], B.shape[1]
     m1, m2 = A.mean(axis=1), B.mean(axis=1)
     vn1 = A.var(axis=1, ddof=1) / n1
@@ -95,7 +102,7 @@ def _welch_t_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         df = (vn1 + vn2) ** 2 / (vn1**2 / (n1 - 1) + vn2**2 / (n2 - 1))
         df = np.where(np.isnan(df), 1.0, df)
         t = (m1 - m2) / np.sqrt(vn1 + vn2)
-        return 2.0 * stats.t.sf(np.abs(t), df)
+        return _two_sided_t_pvalue(t, df)
 
 
 def _ks_rows(A: np.ndarray, B: np.ndarray, *, exact: bool = True) -> np.ndarray:
@@ -167,8 +174,9 @@ def batch_ks_pvalues(
     The D statistics equal scipy's searchsorted construction bit for bit;
     with ``exact=True`` the p-value is the Kolmogorov-Smirnov survival
     function at the scipy-rounded effective sample size — bit-identical to
-    scipy, but at few-shot sample sizes that routes into scipy's exact
-    small-``n`` Pomeranz evaluation, which dominates discovery wall-clock.
+    scipy, but at few-shot sample sizes that routes into the exact
+    small-``n`` Pomeranz evaluation (:mod:`repro.causal.kstwo`), which
+    dominates discovery wall-clock.
     ``exact=False`` (the float32 fast path) evaluates the limiting
     Kolmogorov distribution at the Stephens-corrected argument instead —
     within ~1e-3 of the exact tail for the sample sizes used here, orders of

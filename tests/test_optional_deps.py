@@ -5,7 +5,8 @@ the serving daemon and the CLI must work in an environment without it.
 scipy computes the CI-test statistics and is imported by the functions
 that compute them: importing the package, the CLI and the serving daemon
 must work without it, and a daemon must answer bit-identically to
-per-request replay.
+per-request replay.  Feature separation loads ``scipy.special`` and
+``scipy.linalg`` only, never ``scipy.stats``.
 """
 
 import os
@@ -36,8 +37,10 @@ except ImportError:
 """
 
 #: fresh interpreter, nothing blocked: scipy stays unloaded until the first
-#: feature separation; then one smoke-shape tenant is fitted and saved
-#: under ``argv[1]`` with a few rows to score
+#: feature separation, which loads scipy.special and scipy.linalg but not
+#: scipy.stats, nor does a warm re-discovery or a pipeline fit; one
+#: smoke-shape tenant is fitted and saved under ``argv[1]`` with a few rows
+#: to score
 FIT_AND_SAVE = """
 import sys
 
@@ -57,15 +60,21 @@ bench = make_benchmark("5gc", preset, random_state=0)
 X_few, _, X_test, _ = bench.few_shot_split(10, random_state=0)
 assert "scipy" not in sys.modules, "building the benchmark loaded scipy"
 FeatureSeparator().fit(bench.X_source, X_few)
-assert "scipy.stats" in sys.modules, "feature separation ran without scipy"
+assert "scipy.special" in sys.modules, "feature separation ran without scipy.special"
+assert "scipy.linalg" in sys.modules, "feature separation ran without scipy.linalg"
+assert "scipy.stats" not in sys.modules, "feature separation loaded scipy.stats"
 pipeline = FSGANPipeline(
     lambda: MLPClassifier(epochs=5, random_state=0),
     reconstruction_config=ReconstructionConfig(
         epochs=3, noise_dim=preset.gan_noise_dim, hidden_size=preset.gan_hidden),
     random_state=0,
 ).fit(bench.X_source, bench.y_source, X_few)
+assert "scipy.stats" not in sys.modules, "a pipeline fit loaded scipy.stats"
 save_artifact(pipeline, root + "/tenant-00.npz")
 np.save(root + "/rows.npy", X_test[:8])
+assert pipeline.separator_.warm_state_ is not None
+pipeline.rediscover_fs(X_test[:10])
+assert "scipy.stats" not in sys.modules, "a warm re-discovery loaded scipy.stats"
 print("fitted")
 """
 
